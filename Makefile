@@ -4,12 +4,6 @@
 BENCH ?= Fig5SASSnapshot|Fig6Questions|SASShared
 GATE  ?= SAS|Questions
 
-# Parallel-engine scaling benchmarks (PR 4). BENCH_PR4.json records the
-# per-worker-count medians; the numbers are machine-of-record specific —
-# on a single-CPU host all worker counts collapse to sequential speed.
-BENCH_PAR ?= ParallelFig6|SampleAllParallel
-GATE_PAR  ?= ParallelFig6/nodes=32/workers=1
-
 # Observability-plane overhead (PR 5). The disabled path is the
 # non-perturbation contract — held to 2%, not the default 20% — while
 # obs=on is recorded ungated for reference.
@@ -22,13 +16,11 @@ GATE_OBS  ?= ObsOverhead/obs=off
 BENCH_TOPO ?= TopoPlaceGreedy|TopoSend
 GATE_TOPO  ?= Topo
 
-# Columnar SAS engine (PR 9): the Figure 6 question pipeline, the
-# zero-allocation steady-state sampling loop, and the sampling scaling
-# curve across worker widths, against BENCH_PR9.json. benchdiff's
-# allocs gate applies to the gated pair — ANY allocs/op increase over
+# Columnar SAS engine (PR 9): the Figure 6 question pipeline and the
+# zero-allocation steady-state sampling loop, against BENCH_PR9.json.
+# benchdiff's allocs gate applies to both — ANY allocs/op increase over
 # the committed baseline fails, which is how SampleAll's 0 allocs/op
-# is held. The multi-worker curve rides along ungated (wall-clock and
-# scheduling are host-dependent).
+# is held.
 BENCH_SAS ?= Fig6Questions$$|SampleAll
 GATE_SAS  ?= Fig6Questions$$|SampleAll$$
 
@@ -39,7 +31,7 @@ GATE_SAS  ?= Fig6Questions$$|SampleAll$$
 BENCH_DIAG ?= ConsultantSearch
 GATE_DIAG  ?= ConsultantSearch
 
-.PHONY: build test race bench bench-rebase bench-par bench-par-rebase \
+.PHONY: build test race bench bench-rebase \
 	bench-obs bench-obs-rebase bench-topo bench-topo-rebase \
 	bench-sas bench-sas-rebase pprof-sas soak soak-smoke \
 	serve-smoke bench-serve bench-serve-rebase \
@@ -48,8 +40,10 @@ GATE_DIAG  ?= ConsultantSearch
 build:
 	go build ./...
 
+# benchmark/ is a nested module: the root ./... pattern skips it.
 test:
 	go test ./...
+	cd benchmark && go test ./...
 
 race:
 	go test -race -shuffle=on ./...
@@ -63,16 +57,6 @@ bench:
 bench-rebase:
 	go test -run '^$$' -bench '$(BENCH)' -benchmem -count=5 . | \
 		go run ./cmd/benchdiff -out BENCH_PR3.json -check '$(GATE)' -rebase
-
-# Worker-pool scaling: only the workers=1 (sequential-engine) case is
-# regression-gated; multi-worker wall-clock depends on host core count.
-bench-par:
-	go test -run '^$$' -bench '$(BENCH_PAR)' -benchmem -count=5 . | \
-		go run ./cmd/benchdiff -out BENCH_PR4.json -check '$(GATE_PAR)'
-
-bench-par-rebase:
-	go test -run '^$$' -bench '$(BENCH_PAR)' -benchmem -count=5 . | \
-		go run ./cmd/benchdiff -out BENCH_PR4.json -check '$(GATE_PAR)' -rebase
 
 # Observability overhead: the obs=off path must stay within 2% of the
 # baseline (the plane is provably free when disabled).
@@ -113,8 +97,8 @@ pprof-sas:
 # Chaos soak: randomized composed-fault sessions under the race
 # detector, asserting the robustness contract (no process death, every
 # run ends in answer / partial / typed error, wall-clock-free runs
-# byte-deterministic across worker counts). soak is the full acceptance
-# run; soak-smoke is the short CI variant.
+# byte-deterministic). soak is the full acceptance run; soak-smoke is
+# the short CI variant.
 SOAK_N       ?= 500
 SOAK_SMOKE_N ?= 25
 
@@ -157,9 +141,9 @@ bench-diag-rebase:
 	go test -run '^$$' -bench '$(BENCH_DIAG)' -benchmem -count=5 ./internal/paradyn | \
 		go run ./cmd/benchdiff -out BENCH_PR10.json -check '$(GATE_DIAG)' -rebase
 
-# Diagnosis smoke: the corpus goldens (planted root causes, worker
-# invariance, budget accounting) plus the concurrent-search and
-# /v1/diagnose stream/drain tests under the race detector.
+# Diagnosis smoke: the corpus goldens (planted root causes, budget
+# accounting) plus the concurrent-search and /v1/diagnose stream/drain
+# tests under the race detector.
 diagnose-smoke:
 	go test -run 'TestDiagnosisCorpus' .
 	go test -race -run 'TestConsultantConcurrentSearches|TestConsultantBudgetRespected' ./internal/paradyn

@@ -5,7 +5,6 @@ package nvmap
 // time); the experiments themselves report virtual time.
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -284,49 +283,13 @@ END
 	}
 }
 
-// BenchmarkParallelFig6: the Figure 6 question pipeline scaled to a
-// 32-node, 32768-element workload, across worker-pool widths. The
-// workers=1 sub-benchmark is the sequential engine; every width
-// produces byte-identical output (pinned by TestSessionWorkersGolden),
-// so the sub-benchmarks differ only in wall-clock. On a single-CPU
-// host all widths collapse to the sequential speed plus pool overhead.
-func BenchmarkParallelFig6(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=32/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := NewSession(parallelWorkload, WithNodes(32),
-					WithWorkers(workers), WithSourceFile("bigvec.fcm"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := wireSAS(s, false)
-				for n := 0; n < s.Machine.Nodes(); n++ {
-					w.Reg.Node(n)
-				}
-				ids, err := w.Reg.AddQuestionAll(sas.Q("{A Sums}, {? Sends}",
-					sas.T(verbSums, "A"), sas.T(verbSends, sas.Any)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.Reg.AggregateResult(ids, s.Now()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSampleAll: the steady-state sampling hot path — four metrics
 // enabled on the whole program of a four-node session, sampled at
 // advancing instants after the run completes. This is the allocation
-// gate for the columnar engine: sampling reuses registry arena scratch
-// and reads columnar rows in place, so the loop must measure 0
-// allocs/op; benchdiff's allocs gate fails the build if any allocation
-// creeps back in.
+// gate for the columnar engine: sampling reuses its batch buffer and
+// reads columnar rows in place, so the loop must measure 0 allocs/op;
+// benchdiff's allocs gate fails the build if any allocation creeps
+// back in.
 func BenchmarkSampleAll(b *testing.B) {
 	s, err := NewSession(fig9Workload, WithNodes(4))
 	if err != nil {
@@ -347,49 +310,6 @@ func BenchmarkSampleAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now++
 		s.Tool.SampleAll(now)
-	}
-}
-
-// BenchmarkSampleAllParallel: the measurement plane's concurrent value
-// reads — five metrics enabled on each of 32 per-node foci (160 live
-// instances, far past the sampling fan-out threshold), sampled
-// repeatedly at advancing instants across worker-pool widths.
-func BenchmarkSampleAllParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("metrics=160/workers=%d", workers), func(b *testing.B) {
-			s, err := NewSession(parallelWorkload, WithNodes(32),
-				WithWorkers(workers), WithSourceFile("bigvec.fcm"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids := []string{"computations", "computation_time",
-				"summation_time", "point_to_point_ops", "idle_time"}
-			for n := 0; n < s.Machine.Nodes(); n++ {
-				res, ok := s.Tool.Axis.Find(fmt.Sprintf("Machine/node%d", n))
-				if !ok {
-					b.Fatalf("node%d missing from where axis", n)
-				}
-				focus, err := paradyn.NewFocus(res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, id := range ids {
-					if _, err := s.Tool.EnableMetric(id, focus); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if _, err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			now := s.Now()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now++
-				s.Tool.SampleAll(now)
-			}
-		})
 	}
 }
 

@@ -27,13 +27,12 @@ func obsCommand(mode string, args []string) int {
 	fs := flag.NewFlagSet("nvprof "+mode, flag.ExitOnError)
 	var (
 		nodes      = fs.Int("nodes", 8, "partition size")
-		workers    = fs.Int("workers", 0, "host worker pool width (0 = GOMAXPROCS)")
 		fuse       = fs.Bool("fuse", false, "fuse adjacent elementwise statements")
 		metricsArg = fs.String("metrics", "summations,summation_time,point_to_point_ops,idle_time",
 			"comma-separated metric IDs, or 'all'")
 		out      = fs.String("o", "", "output file (default stdout)")
 		unstable = fs.Bool("unstable", false,
-			"include metrics that vary with worker count or process history")
+			"include metrics that vary with process history or wall clock")
 		addr    = fs.String("addr", "localhost:6060", "listen address (serve mode)")
 		perturb = fs.Bool("perturb", false, "print the perturbation report to stderr")
 	)
@@ -43,7 +42,7 @@ func obsCommand(mode string, args []string) int {
 		return 2
 	}
 	if err := runObs(mode, fs.Arg(0), obsRunConfig{
-		nodes: *nodes, workers: *workers, fuse: *fuse,
+		nodes: *nodes, fuse: *fuse,
 		metrics: *metricsArg, out: *out, unstable: *unstable,
 		addr: *addr, perturb: *perturb,
 	}); err != nil {
@@ -55,7 +54,6 @@ func obsCommand(mode string, args []string) int {
 
 type obsRunConfig struct {
 	nodes    int
-	workers  int
 	fuse     bool
 	metrics  string
 	out      string
@@ -71,7 +69,6 @@ func runObs(mode, path string, cfg obsRunConfig) error {
 	}
 	opts := []nvmap.Option{
 		nvmap.WithNodes(cfg.nodes),
-		nvmap.WithWorkers(cfg.workers),
 		nvmap.WithSourceFile(filepath.Base(path)),
 		nvmap.WithObservability(),
 	}

@@ -57,7 +57,6 @@ func main() {
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-run wall deadline")
 		drainGrace   = flag.Duration("drain-grace", 10*time.Second, "SIGTERM grace before in-flight runs are cut")
 		maxNodes     = flag.Int("max-nodes", 64, "largest partition a request may ask for")
-		maxWorkers   = flag.Int("max-workers", 16, "largest worker pool a request may ask for")
 		tenantSess   = flag.Int("tenant-sessions", 0, "default per-tenant concurrent-session cap (0 = unlimited)")
 		tenantVTime  = flag.Duration("tenant-vtime", 0, "default per-tenant cumulative virtual-time quota (0 = unlimited)")
 		tenantAlloc  = flag.Int64("tenant-alloc", 0, "default per-tenant cumulative allocation quota, bytes (0 = unlimited)")
@@ -75,7 +74,6 @@ func main() {
 		AdmitTimeout:    *admitTimeout,
 		DefaultDeadline: *deadline,
 		MaxNodes:        *maxNodes,
-		MaxWorkers:      *maxWorkers,
 		DefaultQuota: serve.TenantQuota{
 			MaxSessions:    *tenantSess,
 			MaxVirtualTime: vtime.Duration(*tenantVTime),

@@ -9,19 +9,19 @@
 //     *nvmap.SessionError — never a hang (a per-session wall budget
 //     catches those) and never an untyped failure;
 //   - cut runs carry their cut in the degradation report;
-//   - wall-clock-free scenarios are byte-deterministic: the same seed
-//     re-run under a different worker count yields identical metric
-//     values, final clocks and report text.
+//   - wall-clock-free scenarios are byte-deterministic: the same
+//     scenario run twice yields identical metric values, final clocks
+//     and report text.
 //
 // Usage:
 //
 //	nvsoak -sessions 500 -seed 1
 //	nvsoak -sessions 25 -timeout 10s -v          # CI smoke
-//	nvsoak -sessions 100 -min-nodes 4 -max-workers 2
+//	nvsoak -sessions 100 -min-nodes 4
 //	nvsoak -sessions 100 -max-ops 5000           # pin the budget draw
 //
 // Flags are validated up front: zero or negative session counts, empty
-// or out-of-range node/worker windows, and contradictory budget flags
+// or out-of-range node windows, and contradictory budget flags
 // (-no-budget alongside an explicit -max-*) are usage errors (exit 2)
 // rather than panics or silent misbehavior deep in a run.
 //
@@ -63,14 +63,12 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // derived by validate: the supported partition sizes that fall inside
 // the requested [minNodes, maxNodes] window.
 type soakConfig struct {
-	sessions   int
-	seed       int64
-	timeout    time.Duration
-	verbose    bool
-	minNodes   int
-	maxNodes   int
-	minWorkers int
-	maxWorkers int
+	sessions int
+	seed     int64
+	timeout  time.Duration
+	verbose  bool
+	minNodes int
+	maxNodes int
 
 	noBudget   bool
 	maxOps     int64
@@ -118,15 +116,6 @@ func (c *soakConfig) validate() error {
 	if len(c.nodeChoices) == 0 {
 		return fmt.Errorf("no supported partition size (%v) inside node range [%d, %d]", supportedNodes, c.minNodes, c.maxNodes)
 	}
-	if c.minWorkers <= 0 {
-		return fmt.Errorf("-min-workers must be positive, got %d", c.minWorkers)
-	}
-	if c.minWorkers > c.maxWorkers {
-		return fmt.Errorf("-min-workers %d exceeds -max-workers %d", c.minWorkers, c.maxWorkers)
-	}
-	if c.maxWorkers > 64 {
-		return fmt.Errorf("-max-workers %d is unreasonable (limit 64)", c.maxWorkers)
-	}
 	if c.maxOps < 0 {
 		return fmt.Errorf("-max-ops must be non-negative, got %d", c.maxOps)
 	}
@@ -151,8 +140,6 @@ func main() {
 	flag.BoolVar(&cfg.verbose, "v", false, "log every iteration")
 	flag.IntVar(&cfg.minNodes, "min-nodes", 1, "smallest partition the generator may draw")
 	flag.IntVar(&cfg.maxNodes, "max-nodes", 8, "largest partition the generator may draw")
-	flag.IntVar(&cfg.minWorkers, "min-workers", 1, "smallest worker pool the generator may draw")
-	flag.IntVar(&cfg.maxWorkers, "max-workers", 8, "largest worker pool the generator may draw")
 	flag.BoolVar(&cfg.noBudget, "no-budget", false, "never attach a budget governor")
 	flag.Int64Var(&cfg.maxOps, "max-ops", 0, "pin every session's op budget (0 = randomized)")
 	flag.DurationVar(&cfg.maxVTime, "max-vtime", 0, "pin every session's virtual-time budget (0 = randomized)")
@@ -202,7 +189,6 @@ func main() {
 type scenario struct {
 	program  string
 	nodes    int
-	workers  int
 	plan     *fault.Plan
 	recovery *nvmap.RecoveryConfig
 	budget   *nvmap.Budget
@@ -213,7 +199,7 @@ type scenario struct {
 
 // wallClockFree reports whether the scenario's outcome is a pure
 // function of its seed (no wall-clock governance), and therefore must
-// be byte-identical across worker counts.
+// be byte-identical from run to run.
 func (sc *scenario) wallClockFree() bool { return sc.deadline == 0 && sc.watchdog == 0 }
 
 // outcome is one run's observable surface, for determinism comparison.
@@ -224,27 +210,26 @@ type outcome struct {
 	values string
 }
 
-// soakOne generates and runs one scenario, re-running wall-clock-free
-// ones under a second worker count for the determinism check. It
-// returns the outcome class and a contract violation, if any.
+// soakOne generates and runs one scenario, running wall-clock-free
+// ones a second time for the determinism check. It returns the outcome
+// class and a contract violation, if any.
 func soakOne(seed uint64, cfg *soakConfig) (string, error) {
 	hangBudget := cfg.timeout
 	r := &rng{state: seed}
 	sc := genScenario(r, cfg)
-	first, err := runScenario(sc, sc.workers, hangBudget)
+	first, err := runScenario(sc, hangBudget)
 	if err != nil {
 		return "violation", err
 	}
 	if sc.wallClockFree() {
-		altWorkers := 1 + (sc.workers % 8) // different, still in 1..8
-		second, err := runScenario(sc, altWorkers, hangBudget)
+		second, err := runScenario(sc, hangBudget)
 		if err != nil {
-			return "violation", fmt.Errorf("re-run workers=%d: %w", altWorkers, err)
+			return "violation", fmt.Errorf("re-run: %w", err)
 		}
-		if first.clock != second.clock || first.values != second.values || first.report != second.report {
+		if *first != *second {
 			return "violation", fmt.Errorf(
-				"nondeterministic under workers %d vs %d:\nclock %v vs %v\nvalues %q vs %q\nreport:\n%s---\n%s",
-				sc.workers, altWorkers, first.clock, second.clock, first.values, second.values, first.report, second.report)
+				"nondeterministic across two runs:\nclock %v vs %v\nvalues %q vs %q\nreport:\n%s---\n%s",
+				first.clock, second.clock, first.values, second.values, first.report, second.report)
 		}
 	}
 	return first.class, nil
@@ -252,14 +237,14 @@ func soakOne(seed uint64, cfg *soakConfig) (string, error) {
 
 // runScenario executes one session under the hang budget and asserts
 // the robustness contract on its outcome.
-func runScenario(sc *scenario, workers int, hangBudget time.Duration) (*outcome, error) {
+func runScenario(sc *scenario, hangBudget time.Duration) (*outcome, error) {
 	type result struct {
 		out *outcome
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		out, err := runSession(sc, workers)
+		out, err := runSession(sc)
 		ch <- result{out, err}
 	}()
 	select {
@@ -274,10 +259,9 @@ func runScenario(sc *scenario, workers int, hangBudget time.Duration) (*outcome,
 // classifies the outcome. Any panic escaping nvmap here is itself a
 // contract violation (the library must contain them), so none is
 // recovered.
-func runSession(sc *scenario, workers int) (*outcome, error) {
+func runSession(sc *scenario) (*outcome, error) {
 	opts := []nvmap.Option{
 		nvmap.WithNodes(sc.nodes),
-		nvmap.WithWorkers(workers),
 		nvmap.WithSourceFile("soak.fcm"),
 	}
 	if sc.plan != nil {
@@ -360,16 +344,17 @@ type vals struct {
 }
 
 // genScenario draws one randomized composition inside the validated
-// node/worker windows. With the default windows the draws are
-// identical to the historical generator, so seeds stay comparable
-// across releases.
+// node window. With the default window the draws are identical to the
+// historical generator, so seeds stay comparable across releases.
 func genScenario(r *rng, cfg *soakConfig) *scenario {
 	sc := &scenario{
 		program: genProgram(r),
 		nodes:   cfg.nodeChoices[r.intn(len(cfg.nodeChoices))],
-		workers: cfg.minWorkers + r.intn(cfg.maxWorkers-cfg.minWorkers+1),
 		metrics: []string{"computations", "computation_time", "summations"},
 	}
+	// The historical generator drew a worker count here; consuming the
+	// draw keeps every later one, and so every filed seed, unchanged.
+	r.next()
 
 	plan := &fault.Plan{Seed: int64(r.next() % (1 << 31))}
 	used := false

@@ -9,13 +9,11 @@ import (
 // goodConfig is a baseline that validates cleanly; cases mutate it.
 func goodConfig() soakConfig {
 	return soakConfig{
-		sessions:   500,
-		seed:       1,
-		timeout:    time.Minute,
-		minNodes:   1,
-		maxNodes:   8,
-		minWorkers: 1,
-		maxWorkers: 8,
+		sessions: 500,
+		seed:     1,
+		timeout:  time.Minute,
+		minNodes: 1,
+		maxNodes: 8,
 	}
 }
 
@@ -34,9 +32,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"inverted node range", func(c *soakConfig) { c.minNodes, c.maxNodes = 8, 2 }, "exceeds -max-nodes"},
 		{"node range above partitions", func(c *soakConfig) { c.minNodes, c.maxNodes = 16, 32 }, "largest supported partition"},
 		{"node range between partitions", func(c *soakConfig) { c.minNodes, c.maxNodes = 3, 3 }, "no supported partition size"},
-		{"zero min workers", func(c *soakConfig) { c.minWorkers = 0 }, "-min-workers must be positive"},
-		{"inverted worker range", func(c *soakConfig) { c.minWorkers, c.maxWorkers = 4, 2 }, "exceeds -max-workers"},
-		{"absurd max workers", func(c *soakConfig) { c.maxWorkers = 1 << 20 }, "unreasonable"},
 		{"negative max ops", func(c *soakConfig) { c.maxOps = -1 }, "-max-ops must be non-negative"},
 		{"negative max vtime", func(c *soakConfig) { c.maxVTime = -time.Microsecond }, "-max-vtime must be non-negative"},
 		{"negative max backlog", func(c *soakConfig) { c.maxBacklog = -2 }, "-max-backlog must be non-negative"},
@@ -71,7 +66,6 @@ func TestValidateAcceptsAndDerivesNodeChoices(t *testing.T) {
 		{"window past the top keeps the overlap", func(c *soakConfig) { c.minNodes, c.maxNodes = 4, 32 }, []int{4, 8}},
 		{"no-budget alone", func(c *soakConfig) { c.noBudget = true }, []int{1, 2, 4, 8}},
 		{"pinned budget alone", func(c *soakConfig) { c.maxOps = 5000 }, []int{1, 2, 4, 8}},
-		{"single worker", func(c *soakConfig) { c.minWorkers, c.maxWorkers = 1, 1 }, []int{1, 2, 4, 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +92,6 @@ func TestValidateAcceptsAndDerivesNodeChoices(t *testing.T) {
 func TestGeneratorHonorsWindows(t *testing.T) {
 	cfg := goodConfig()
 	cfg.minNodes, cfg.maxNodes = 2, 4
-	cfg.minWorkers, cfg.maxWorkers = 3, 5
 	cfg.maxOps = 7777
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
@@ -107,9 +100,6 @@ func TestGeneratorHonorsWindows(t *testing.T) {
 		sc := genScenario(&rng{state: seed}, &cfg)
 		if sc.nodes != 2 && sc.nodes != 4 {
 			t.Fatalf("seed %d: nodes %d outside [2, 4]", seed, sc.nodes)
-		}
-		if sc.workers < 3 || sc.workers > 5 {
-			t.Fatalf("seed %d: workers %d outside [3, 5]", seed, sc.workers)
 		}
 		if sc.budget == nil || sc.budget.MaxOps != 7777 {
 			t.Fatalf("seed %d: pinned budget not applied: %+v", seed, sc.budget)
@@ -137,17 +127,18 @@ func TestDefaultWindowsPreserveHistoricalDraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacyNodes := func(r *rng) int { return []int{1, 2, 4, 8}[r.intn(4)] }
-	legacyWorkers := func(r *rng) int { return 1 + r.intn(8) }
 	for seed := uint64(1); seed <= 100; seed++ {
 		sc := genScenario(&rng{state: seed}, &cfg)
-		// Replay the draw order: genProgram first, then nodes, workers.
+		// Replay the draw order: genProgram first, then nodes, the
+		// retired worker-count draw, the fault plan's seed.
 		r := &rng{state: seed}
 		_ = genProgram(r)
 		if want := legacyNodes(r); sc.nodes != want {
 			t.Fatalf("seed %d: nodes %d, legacy draw %d", seed, sc.nodes, want)
 		}
-		if want := legacyWorkers(r); sc.workers != want {
-			t.Fatalf("seed %d: workers %d, legacy draw %d", seed, sc.workers, want)
+		r.next()
+		if want := int64(r.next() % (1 << 31)); sc.plan != nil && sc.plan.Seed != want {
+			t.Fatalf("seed %d: plan seed %d, legacy draw %d", seed, sc.plan.Seed, want)
 		}
 	}
 }

@@ -13,12 +13,10 @@ import (
 var updateDiagGoldens = flag.Bool("update-diag-goldens", false,
 	"rewrite testdata/diag_*.golden from this run's diagnosis reports")
 
-// diagnoseScenario runs one corpus scenario's diagnosis at a worker
-// count.
-func diagnoseScenario(t testing.TB, sc DiagScenario, workers int) *diagnose.Report {
+// diagnoseScenario runs one corpus scenario's diagnosis.
+func diagnoseScenario(t testing.TB, sc DiagScenario) *diagnose.Report {
 	t.Helper()
-	opts := append(append([]Option{}, sc.Opts...), WithWorkers(workers))
-	rep, err := Diagnose(sc.Source, DiagnoseConfig{}, opts...)
+	rep, err := Diagnose(sc.Source, DiagnoseConfig{}, sc.Opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.Name, err)
 	}
@@ -27,14 +25,13 @@ func diagnoseScenario(t testing.TB, sc DiagScenario, workers int) *diagnose.Repo
 
 // TestDiagnosisCorpusGoldens is the planted-root-cause contract: each
 // pathological program's diagnosis must confirm exactly its planted
-// hypothesis at the whole-program focus, the full text report must
-// match its golden byte for byte, and the bytes must not move when the
-// host worker pool changes (1, 2 and 8 workers).
+// hypothesis at the whole-program focus, and the full text report must
+// match its golden byte for byte.
 func TestDiagnosisCorpusGoldens(t *testing.T) {
 	for _, sc := range DiagnosisCorpus() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rep := diagnoseScenario(t, sc, 1)
+			rep := diagnoseScenario(t, sc)
 			for _, root := range rep.Roots {
 				if root.Confirmed != (root.Hypothesis == sc.Planted) {
 					t.Errorf("%s: top-level %s confirmed=%v, want planted cause %s and only it\n%s",
@@ -57,13 +54,6 @@ func TestDiagnosisCorpusGoldens(t *testing.T) {
 				t.Errorf("%s drifted from golden; regenerate with -update-diag-goldens if the change is deliberate\n--- got ---\n%s--- want ---\n%s",
 					sc.Name, text, want)
 			}
-
-			for _, workers := range []int{2, 8} {
-				if got := diagnoseScenario(t, sc, workers).Text(); got != text {
-					t.Errorf("%s: report differs between workers=1 and workers=%d\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-						sc.Name, workers, text, workers, got)
-				}
-			}
 		})
 	}
 }
@@ -75,8 +65,7 @@ func TestDiagnosisCorpusGoldens(t *testing.T) {
 func TestDiagnosisCorpusBudget(t *testing.T) {
 	const budget = 7 // 5 top-level probes + 2 refinements
 	for _, sc := range DiagnosisCorpus() {
-		opts := append(append([]Option{}, sc.Opts...), WithWorkers(1))
-		rep, err := Diagnose(sc.Source, DiagnoseConfig{Budget: budget}, opts...)
+		rep, err := Diagnose(sc.Source, DiagnoseConfig{Budget: budget}, sc.Opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -91,7 +80,7 @@ func TestDiagnosisCorpusBudget(t *testing.T) {
 		}
 		// A budget covering the whole frontier prunes nothing and probes
 		// fewer or equally many cells.
-		full, err := Diagnose(sc.Source, DiagnoseConfig{}, opts...)
+		full, err := Diagnose(sc.Source, DiagnoseConfig{}, sc.Opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -119,7 +108,7 @@ func TestDiagnosisCollectors(t *testing.T) {
 		}
 	}
 
-	rep = diagnoseScenario(t, sc, 1)
+	rep = diagnoseScenario(t, sc)
 	got := map[string]float64{}
 	unstable := map[string]bool{}
 	for _, s := range r.Snapshot(true) {
@@ -139,7 +128,7 @@ func TestDiagnosisCollectors(t *testing.T) {
 		t.Errorf("refinement_depth = %v, want %d", got["nvmap_consultant_refinement_depth"], rep.MaxDepth)
 	}
 	if !unstable["nvmap_consultant_search_wall_ns"] {
-		t.Error("wall-clock collector must be unstable (worker-count dependent)")
+		t.Error("wall-clock collector must be unstable")
 	}
 	for _, name := range []string{"nvmap_consultant_probes_run_total", "nvmap_consultant_probes_pruned_total",
 		"nvmap_consultant_hypotheses_confirmed", "nvmap_consultant_refinement_depth",

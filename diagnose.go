@@ -111,8 +111,8 @@ func RegisterDiagnosisCollectors(r *obs.Registry, rep func() *diagnose.Report) {
 		obs.KindGauge, false, read(func(rp *diagnose.Report) float64 { return float64(rp.MaxDepth) }))
 	r.Func("nvmap_consultant_search_vtime_ns", "Virtual time spent acquiring probe measurements.",
 		obs.KindCounter, false, read(func(rp *diagnose.Report) float64 { return float64(rp.SearchVTime) }))
-	// Wall clock depends on host load and worker count, never on the
-	// program: unstable, so byte-stable metric goldens skip it.
+	// Wall clock depends on host load, never on the program: unstable,
+	// so byte-stable metric goldens skip it.
 	r.Func("nvmap_consultant_search_wall_ns", "Host wall-clock the diagnosis search took.",
 		obs.KindCounter, true, read(func(rp *diagnose.Report) float64 { return float64(rp.Wall) }))
 }

@@ -1,14 +1,9 @@
 // Observed: run a program under the self-observability plane — the
 // measurement tool pointed at itself. The plane traces every pipeline
-// stage (machine collectives, parallel regions, daemon traffic, SAS
+// stage (machine collectives, node regions, daemon traffic, SAS
 // notifications, sampling rounds) as spans, publishes every component's
 // statistics on one metrics registry, and attributes the run's
 // wall-clock self-cost back to named stages and abstraction levels.
-//
-// The example self-checks the plane's determinism guarantee: the
-// Chrome trace export, the stable Prometheus export and the
-// perturbation report's structure are byte-identical across worker
-// counts, and exits non-zero on any divergence.
 package main
 
 import (
@@ -16,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"strings"
 
 	"nvmap"
@@ -36,12 +30,9 @@ PRINT *, ASUM
 END
 `
 
-// observe runs the workload with the plane enabled and returns its
-// deterministic exports plus the perturbation report.
-func observe(workers int) (chrome, prom, structure string, report *obs.PerturbationReport) {
+func main() {
 	s, err := nvmap.NewSession(program,
 		nvmap.WithNodes(8),
-		nvmap.WithWorkers(workers),
 		nvmap.WithSourceFile("observed.fcm"),
 		nvmap.WithOutput(io.Discard),
 		nvmap.WithObservability())
@@ -72,20 +63,13 @@ func observe(workers int) (chrome, prom, structure string, report *obs.Perturbat
 	if err := obs.WritePrometheus(&pb, plane.Metrics, false); err != nil {
 		log.Fatal(err)
 	}
-	report = s.PerturbationReport()
-	return cb.String(), pb.String(), report.Structure(), report
-}
 
-func main() {
-	c1, p1, s1, _ := observe(1)
-	c8, p8, s8, rep := observe(8)
-
-	fmt.Printf("=== observability plane (workers=8) ===\n")
-	fmt.Printf("chrome trace: %d bytes, prometheus text: %d bytes\n\n", len(c8), len(p8))
+	fmt.Printf("=== observability plane ===\n")
+	fmt.Printf("chrome trace: %d bytes, prometheus text: %d bytes\n\n", cb.Len(), pb.Len())
 
 	fmt.Println("stable metrics (excerpt):")
 	shown := 0
-	for _, line := range strings.Split(p8, "\n") {
+	for _, line := range strings.Split(pb.String(), "\n") {
 		if strings.HasPrefix(line, "#") || line == "" {
 			continue
 		}
@@ -97,15 +81,5 @@ func main() {
 	}
 
 	fmt.Println("\nperturbation report:")
-	fmt.Print(rep.String())
-
-	sameChrome := c1 == c8
-	sameProm := p1 == p8
-	sameStructure := s1 == s8
-	fmt.Printf("\nchrome trace identical across worker counts: %v\n", sameChrome)
-	fmt.Printf("prometheus export identical across worker counts: %v\n", sameProm)
-	fmt.Printf("perturbation structure identical across worker counts: %v\n", sameStructure)
-	if !sameChrome || !sameProm || !sameStructure {
-		os.Exit(1)
-	}
+	fmt.Print(s.PerturbationReport().String())
 }

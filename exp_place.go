@@ -44,7 +44,7 @@ type placeRun struct {
 // the interconnect. Per-statement SAS questions pair each statement's
 // {lineN Executes} with {? Routes}: link-traffic events attributed to
 // the CMF statement that caused them.
-func runPlacement(name string, placement []int, workers int) (*placeRun, error) {
+func runPlacement(name string, placement []int) (*placeRun, error) {
 	opts := []Option{
 		WithNodes(8),
 		WithSourceFile("torus.fcm"),
@@ -52,9 +52,6 @@ func runPlacement(name string, placement []int, workers int) (*placeRun, error) 
 	}
 	if placement != nil {
 		opts = append(opts, WithPlacement(placement))
-	}
-	if workers != 0 {
-		opts = append(opts, WithWorkers(workers))
 	}
 	s, err := NewSession(placeProgram, opts...)
 	if err != nil {
@@ -119,14 +116,19 @@ func (r *placeRun) dilation() float64 {
 	return float64(r.stats.LinkHops) / float64(r.stats.Messages)
 }
 
-// experimentPlacement is ExperimentPlacement parametrised by worker
-// width; the report is byte-identical under any setting (pinned by
-// tests), like every other session output.
-func experimentPlacement(workers int) (string, error) {
+// ExperimentPlacement compares the three placement algorithms on the
+// circular-shift workload: identity as the baseline, then recursive
+// bisection and the greedy congestion-aware placement computed from the
+// traffic matrix measured under identity. The report tables congestion
+// (heaviest link bytes), dilation (average links per message) and
+// cross-link messages, and answers "which CMF statement causes the
+// cross-link traffic" through per-statement SAS questions at the
+// hardware level.
+func ExperimentPlacement() (string, error) {
 	// Pass 1: measure the application's traffic matrix under the
 	// identity placement — the measured mapping information the
 	// topology-aware algorithms consume.
-	identity, err := runPlacement("identity", nil, workers)
+	identity, err := runPlacement("identity", nil)
 	if err != nil {
 		return "", err
 	}
@@ -137,7 +139,7 @@ func experimentPlacement(workers int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		r, err := runPlacement(alg, fn(8, &topo, identity.traffic), workers)
+		r, err := runPlacement(alg, fn(8, &topo, identity.traffic))
 		if err != nil {
 			return "", err
 		}
@@ -183,16 +185,4 @@ func experimentPlacement(workers int) (string, error) {
 	b.WriteString("the attribution shifts with the load. The greedy placement strictly\n")
 	b.WriteString("reduces both congestion and dilation.\n")
 	return b.String(), nil
-}
-
-// ExperimentPlacement compares the three placement algorithms on the
-// circular-shift workload: identity as the baseline, then recursive
-// bisection and the greedy congestion-aware placement computed from the
-// traffic matrix measured under identity. The report tables congestion
-// (heaviest link bytes), dilation (average links per message) and
-// cross-link messages, and answers "which CMF statement causes the
-// cross-link traffic" through per-statement SAS questions at the
-// hardware level.
-func ExperimentPlacement() (string, error) {
-	return experimentPlacement(0)
 }

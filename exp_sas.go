@@ -105,7 +105,7 @@ func wireSAS(s *Session, filter bool) *Monitor {
 		// The monitor's notifications all run on the driving goroutine
 		// (dyninst snippets), so its SASes may record observability
 		// spans when the session has a plane.
-		Reg:       sas.NewRegistry(sas.Options{Filter: filter, Workers: s.Machine.Workers(), Obs: s.obsPlane}),
+		Reg:       sas.NewRegistry(sas.Options{Filter: filter, Obs: s.obsPlane}),
 		Model:     nv.NewRegistry(),
 		sendStart: make([]vtime.Time, s.Machine.Nodes()),
 		sendSents: make([]nv.Sentence, s.Machine.Nodes()),

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"nvmap/internal/par"
+	"sync"
 )
 
 // Experiment is one reproducible artefact of the paper: a figure, a
@@ -56,8 +55,8 @@ func RunExperiment(id string) (string, error) {
 
 // RunAllExperiments concatenates every experiment's report. Each
 // experiment builds its own sessions over its own machine, so the
-// drivers run concurrently on a worker pool (the compile cache and the
-// vocabulary interner are the only shared state, and both are
+// drivers run concurrently, one goroutine each (the compile cache and
+// the vocabulary interner are the only shared state, and both are
 // thread-safe); the reports are assembled in presentation order, so the
 // output is identical to running them one by one. Errors keep the
 // sequential contract: the first failing experiment in presentation
@@ -66,16 +65,22 @@ func RunAllExperiments() (string, error) {
 	exps := Experiments()
 	outs := make([]string, len(exps))
 	errs := make([]error, len(exps))
-	par.New(0).Do(len(exps), func(i int) {
-		// One experiment panicking must not take down its siblings (or
-		// the process): contain it as that experiment's error.
-		defer func() {
-			if v := recover(); v != nil {
-				errs[i] = fmt.Errorf("%w: %v", ErrPanicked, v)
-			}
+	var wg sync.WaitGroup
+	for i := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One experiment panicking must not take down its siblings
+			// (or the process): contain it as that experiment's error.
+			defer func() {
+				if v := recover(); v != nil {
+					errs[i] = fmt.Errorf("%w: %v", ErrPanicked, v)
+				}
+			}()
+			outs[i], errs[i] = exps[i].Run()
 		}()
-		outs[i], errs[i] = exps[i].Run()
-	})
+	}
+	wg.Wait()
 	var b strings.Builder
 	for i, e := range exps {
 		if errs[i] != nil {

@@ -12,7 +12,6 @@ import (
 
 	"nvmap/internal/budget"
 	"nvmap/internal/machine"
-	"nvmap/internal/par"
 	"nvmap/internal/vtime"
 )
 
@@ -106,12 +105,11 @@ type SessionError struct {
 	// first (empty without WithObservability).
 	Spans []string
 	// Panic and Stack carry the original panic value and the goroutine
-	// stack for ErrorPanic cuts; Stack is the failing worker's stack
-	// when the panic crossed a worker-pool chunk.
+	// stack for ErrorPanic cuts.
 	Panic any
 	Stack []byte
 	// Msg carries extra diagnostic context: watchdog progress
-	// diagnostics, worker chunk ranges.
+	// diagnostics.
 	Msg   string
 	cause error
 }
@@ -226,7 +224,7 @@ func (g *runGov) diag() string {
 // no operation charged for the timeout (the driving goroutine is stuck
 // between boundaries), or operations advancing while virtual time stays
 // frozen for 4x the timeout (a virtual-time livelock; the grace factor
-// tolerates long check-suppressed parallel regions). The abort is
+// tolerates long check-suppressed node regions). The abort is
 // cooperative — it lands at the next boundary check — so a hard hang
 // that never reaches another boundary is the caller's select-timeout to
 // catch; the watchdog's job is naming the stuck node and stage.
@@ -301,8 +299,8 @@ func (s *Session) armGovernance(ctx context.Context) func() {
 
 // contain converts a recovered panic value into the session's typed
 // error and settles the partial answer. The machine's transient state
-// (an open region, a replay clock) is reset first so the accounting
-// paths can still read it.
+// (the governor-quiet depth of an unwound region) is reset first so the
+// accounting paths run governed.
 func (s *Session) contain(v any) (*DegradationReport, error) {
 	s.Machine.ResetTransient()
 	return s.settle(s.toSessionError(v))
@@ -322,7 +320,7 @@ func (s *Session) toSessionError(v any) *SessionError {
 			cause: ab.Err,
 		}
 	}
-	serr := &SessionError{
+	return &SessionError{
 		Kind:  ErrorPanic,
 		Node:  machine.CP,
 		At:    s.Now(),
@@ -331,12 +329,6 @@ func (s *Session) toSessionError(v any) *SessionError {
 		Stack: debug.Stack(),
 		cause: ErrPanicked,
 	}
-	if cp, ok := v.(*par.ChunkPanic); ok {
-		serr.Msg = fmt.Sprintf("worker chunk %d, indices [%d,%d)", cp.Chunk, cp.Lo, cp.Hi)
-		serr.Panic = cp.Value
-		serr.Stack = cp.Stack
-	}
-	return serr
 }
 
 // settle records the cut and assembles the partial answer. Every

@@ -7,15 +7,12 @@
 // a bounded session needs to degrade (sample less, batch harder) before
 // it is killed.
 //
-// The governor splits its work along the session's concurrency
-// boundary. Charging (ChargeOp, ChargeAlloc) is an atomic add and may
-// happen on any goroutine, including region workers; the sum is
-// order-independent, so the total observed at any check point is
-// byte-identical across worker counts. Checking (Check) runs only on
-// the session's driving goroutine, at machine operation boundaries
-// outside parallel regions — so the instant a budget trips is a
-// deterministic function of the program, the fault plan and the limits,
-// never of host scheduling.
+// Charging (ChargeOp, ChargeAlloc) is an atomic add so that an exporter
+// can read the running totals (Ops, Stats) from another goroutine
+// mid-run. Checking (Check) runs only on the session's driving
+// goroutine, at machine operation boundaries outside node regions — so
+// the instant a budget trips is a deterministic function of the
+// program, the fault plan and the limits, never of host scheduling.
 package budget
 
 import (
@@ -109,7 +106,7 @@ type Stats struct {
 type Governor struct {
 	lim Limits
 
-	// Charged on any goroutine.
+	// Atomic for concurrent readers (Ops, Stats) of a live run.
 	ops   atomic.Int64
 	alloc atomic.Int64
 
@@ -149,7 +146,7 @@ func (g *Governor) OnShed(fn func(level int)) {
 	g.mu.Unlock()
 }
 
-// ChargeOp records one machine operation. Any goroutine.
+// ChargeOp records one machine operation.
 func (g *Governor) ChargeOp() {
 	if g == nil {
 		return
@@ -180,8 +177,8 @@ func (g *Governor) ChargeAlloc(bytes int64, now vtime.Time) error {
 }
 
 // Check enforces every ceiling at a machine operation boundary. It must
-// run only on the session's driving goroutine, outside parallel
-// regions. A non-nil return is the abort verdict; the caller converts
+// run only on the session's driving goroutine, outside node regions.
+// A non-nil return is the abort verdict; the caller converts
 // it into the session's typed error with the boundary's op/node/instant.
 func (g *Governor) Check(now vtime.Time) error {
 	if g == nil {

@@ -211,8 +211,7 @@ func (e *Executor) execCompute(st *Assign, tag string) error {
 		return e.rt.Fill(dst, eval(nil, 0), tag)
 	}
 	// The evaluator reads in (never retains or mutates it), so the
-	// runtime's per-node gather slice is used directly: sections of the
-	// Elementwise may run on concurrent workers.
+	// runtime's gather slice is used directly.
 	return e.rt.Elementwise(tag, dst, leaves, flops, func(in []float64) float64 {
 		return eval(in, 0)
 	})
@@ -278,18 +277,10 @@ func (e *Executor) execForall(st *Forall, tag string) error {
 	if err != nil {
 		return err
 	}
-	// In a FORALL, leaves are read by flat index directly. The value
-	// vector is per-node scratch (nodes run concurrently, elements within
-	// a node do not), carved from one slab so the whole statement costs
-	// two allocations instead of one per element.
-	nodes := e.rt.Machine().Nodes()
-	slab := make([]float64, nodes*len(leaves))
-	scratch := make([][]float64, nodes)
-	for n := range scratch {
-		scratch[n] = slab[n*len(leaves) : (n+1)*len(leaves)]
-	}
-	return e.rt.ElementwiseIndexed(tag, dst, flops, func(node, flat int) float64 {
-		vals := scratch[node]
+	// In a FORALL, leaves are read by flat index directly, gathered
+	// into one scratch vector for the whole statement.
+	vals := make([]float64, len(leaves))
+	return e.rt.ElementwiseIndexed(tag, dst, flops, func(flat int) float64 {
 		for k, a := range leaves {
 			vals[k] = a.At(flat)
 		}

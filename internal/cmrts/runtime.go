@@ -226,14 +226,12 @@ func (rt *Runtime) Arrays() []*Array {
 // nodes is a shorthand.
 func (rt *Runtime) nodes() int { return rt.mach.Nodes() }
 
-// parallelNodes runs a node-local loop body on the machine's parallel
-// engine. work is the caller's cost hint — total elemental operations
-// across the partition; small regions, crash schedules and stall plans
-// run the plain sequential loop (see machine.ParallelNodes). The body
+// parallelNodes runs a node-local loop body for every node, in node-id
+// order, as one machine region (see machine.ParallelNodes). The body
 // must confine itself to node n's chunk, clock and stats: fire no
 // instrumentation points and issue no sends inside it.
-func (rt *Runtime) parallelNodes(work int, f func(node int)) {
-	rt.mach.ParallelNodes(work, f)
+func (rt *Runtime) parallelNodes(f func(node int)) {
+	rt.mach.ParallelNodes(f)
 }
 
 // fireSpan wraps per-node entry/exit point firing around f, which must
@@ -319,7 +317,7 @@ func (rt *Runtime) Allocate(name string, shape []int) (*Array, error) {
 		chunks:  make([][]float64, rt.nodes()),
 	}
 	rt.fireSpan(RoutineAlloc, name, []string{string(id), name}, func() {
-		rt.parallelNodes(size, func(n int) {
+		rt.parallelNodes(func(n int) {
 			lo, hi := offsets[n], offsets[n+1]
 			a.chunks[n] = slab[lo:hi:hi]
 			rt.mach.AdvanceNode(n, rt.costs.AllocPerElem.Scale(hi-lo))
@@ -385,7 +383,7 @@ func (rt *Runtime) Fill(a *Array, v float64, tag string) error {
 	}
 	rt.BroadcastScalar(v, tag)
 	rt.fireSpan(RoutineCompute, tag, []string{string(a.ID)}, func() {
-		rt.parallelNodes(a.Size(), func(n int) {
+		rt.parallelNodes(func(n int) {
 			for i := range a.chunks[n] {
 				a.chunks[n][i] = v
 			}
@@ -399,8 +397,8 @@ func (rt *Runtime) Fill(a *Array, v float64, tag string) error {
 // node's local section. flops scales the per-element cost (a
 // multiply-add is ~2). All operands must be conformable and identically
 // distributed, which holds for arrays of equal size in this runtime.
-// Node sections may run on the machine's worker pool, so fn must be a
-// pure function of its arguments (no shared mutable state).
+// vals is the runtime's gather scratch, overwritten for the next
+// element: fn must not retain it.
 func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int, fn func(vals []float64) float64) error {
 	if err := checkLive(append([]*Array{dst}, srcs...)...); err != nil {
 		return err
@@ -416,9 +414,8 @@ func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int,
 		args = append(args, string(s.ID))
 	}
 	rt.fireSpan(RoutineCompute, tag, args, func() {
-		rt.parallelNodes(dst.Size()*flops, func(n int) {
-			// The scratch vector is per node: workers must not share it.
-			vals := make([]float64, len(srcs))
+		vals := make([]float64, len(srcs))
+		rt.parallelNodes(func(n int) {
 			for i := range dst.chunks[n] {
 				for k, s := range srcs {
 					vals[k] = s.chunks[n][i]
@@ -432,9 +429,8 @@ func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int,
 }
 
 // ElementwiseIndexed computes dst[i] = fn(i) over flat indices; used for
-// FORALL statements whose right-hand side depends on the index. Like
-// Elementwise, fn must be pure: sections may run concurrently.
-func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, flops int, fn func(node, flat int) float64) error {
+// FORALL statements whose right-hand side depends on the index.
+func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, flops int, fn func(flat int) float64) error {
 	if err := checkLive(dst); err != nil {
 		return err
 	}
@@ -442,10 +438,10 @@ func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, flops int, fn func
 		flops = 1
 	}
 	rt.fireSpan(RoutineCompute, tag, []string{string(dst.ID)}, func() {
-		rt.parallelNodes(dst.Size()*flops, func(n int) {
+		rt.parallelNodes(func(n int) {
 			base := dst.offsets[n]
 			for i := range dst.chunks[n] {
-				dst.chunks[n][i] = fn(n, base+i)
+				dst.chunks[n][i] = fn(base + i)
 			}
 			rt.mach.Compute(n, len(dst.chunks[n])*flops, tag)
 		})
@@ -467,9 +463,9 @@ func (rt *Runtime) Reduce(a *Array, op ReduceOp, tag string) (float64, error) {
 	routine := op.Routine()
 	rt.fireSpan(routine, tag, []string{string(a.ID)}, func() {
 		// Local phase: each node reduces its own section (slot n of
-		// partial), eligible for the worker pool. The combining tree below
-		// sends messages, so it stays sequential.
-		rt.parallelNodes(a.Size(), func(n int) {
+		// partial). The combining tree below sends messages, so it runs
+		// outside the region.
+		rt.parallelNodes(func(n int) {
 			// A permanently dead node contributes the operator identity:
 			// the reduction honestly combines the survivors only (the tool
 			// annotates the answer as partial).
@@ -559,7 +555,7 @@ func (rt *Runtime) DotProduct(a, b *Array, tag string) (float64, error) {
 	}
 	partial := make([]float64, rt.nodes())
 	rt.fireSpan(RoutineReduceSum, tag, []string{string(a.ID), string(b.ID)}, func() {
-		rt.parallelNodes(2*a.Size(), func(n int) {
+		rt.parallelNodes(func(n int) {
 			if !rt.mach.Alive(n) {
 				return
 			}
@@ -622,7 +618,7 @@ func (rt *Runtime) Rotate(a *Array, offset int, tag string) error {
 	off := ((offset % size) + size) % size
 	rt.fireSpan(RoutineRotate, tag, []string{string(a.ID)}, func() {
 		rt.redistribute(a, func(i int) int { return (i + off) % size }, tag)
-		rt.parallelNodes(size, func(n int) {
+		rt.parallelNodes(func(n int) {
 			rt.mach.Compute(n, len(a.chunks[n]), tag)
 		})
 	})
@@ -671,7 +667,7 @@ func (rt *Runtime) Shift(a *Array, offset int, fill float64, tag string) error {
 		for i, v := range next {
 			a.setAt(i, v)
 		}
-		rt.parallelNodes(size, func(n int) {
+		rt.parallelNodes(func(n int) {
 			rt.mach.Compute(n, len(a.chunks[n]), tag)
 		})
 	})
@@ -694,7 +690,7 @@ func (rt *Runtime) Transpose(a *Array, tag string) error {
 			return c*rows + r
 		}
 		rt.redistribute(a, perm, tag)
-		rt.parallelNodes(rows*cols, func(n int) {
+		rt.parallelNodes(func(n int) {
 			rt.mach.Compute(n, len(a.chunks[n]), tag)
 		})
 	})
@@ -755,7 +751,7 @@ func (rt *Runtime) Sort(a *Array, tag string) error {
 		for r, i := range idx {
 			rank[i] = r
 		}
-		rt.parallelNodes(len(old)*rt.costs.SortFactor, func(n int) {
+		rt.parallelNodes(func(n int) {
 			local := len(a.chunks[n])
 			cost := local * rt.costs.SortFactor * log2ceil(local)
 			rt.mach.Compute(n, cost, tag)

@@ -34,7 +34,7 @@ func alloc(t *testing.T, rt *Runtime, name string, shape ...int) *Array {
 
 func fillRamp(t *testing.T, rt *Runtime, a *Array) {
 	t.Helper()
-	if err := rt.ElementwiseIndexed("ramp", a, 1, func(_, i int) float64 {
+	if err := rt.ElementwiseIndexed("ramp", a, 1, func(i int) float64 {
 		return float64(i)
 	}); err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestScanMax(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a := alloc(t, rt, "A", 5)
 	vals := []float64{3, 1, 4, 1, 5}
-	if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 { return vals[i] }); err != nil {
+	if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 { return vals[i] }); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Scan(a, OpMax, "SCANMAX"); err != nil {
@@ -335,7 +335,7 @@ func TestScanMax(t *testing.T) {
 func TestSort(t *testing.T) {
 	rt := newRuntime(t, 4)
 	a := alloc(t, rt, "A", 64)
-	if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 {
+	if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 {
 		return float64((i*37)%64) - 10
 	}); err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestRotateInverseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(_, i int) float64 { return float64(i * i) }); err != nil {
+		if err := rt.ElementwiseIndexed("i", a, 1, func(i int) float64 { return float64(i * i) }); err != nil {
 			return false
 		}
 		before := a.Flat()
@@ -476,7 +476,7 @@ func TestReduceSumProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 { return vals[i] }); err != nil {
+		if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 { return vals[i] }); err != nil {
 			return false
 		}
 		got, err := rt.Reduce(a, OpSum, "SUM")
@@ -504,7 +504,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(_, i int) float64 { return float64(3*i + 1) }); err != nil {
+		if err := rt.ElementwiseIndexed("i", a, 1, func(i int) float64 { return float64(3*i + 1) }); err != nil {
 			return false
 		}
 		before := a.Flat()

@@ -252,21 +252,6 @@ func (in *Injector) Stall(node int) vtime.Duration {
 	return f.StallFor
 }
 
-// StallsPossible reports whether the plan can ever stall a node.
-// Stall consumes the shared per-node random stream in Compute order, so
-// the machine's parallel engine serialises node regions whenever stalls
-// are live — with this false, Stall touches neither the stream nor the
-// report, and node-local work may run in any order.
-func (in *Injector) StallsPossible() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	f := in.plan.Nodes
-	return f.StallProb > 0 && f.StallFor > 0
-}
-
 // SASOutcome is the fate of one exported SAS event.
 type SASOutcome struct {
 	Drop      bool

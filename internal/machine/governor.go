@@ -14,20 +14,18 @@ import (
 // typed Abort when the governor says stop. With no governor installed
 // every operation pays one pointer test.
 //
-// Determinism contract: ChargeOp may run on any goroutine (region
-// workers charge concurrently; the sum is order-independent), but Check
-// runs only on the driving goroutine, outside parallel regions — both
-// engines suppress checks inside a region body and check once at the
-// region's end, so the boundary at which a deterministic governor trips
-// is byte-identical across worker counts.
+// Determinism contract: charges and checks run on the driving
+// goroutine, in operation order. Checks are suppressed inside a
+// ParallelNodes body and run once at its end, so a deterministic
+// governor always trips at the same boundary of the same run.
 
 // Governor is consulted at machine operation boundaries.
 type Governor interface {
-	// ChargeOp records one operation. Any goroutine; must be cheap.
+	// ChargeOp records one operation; must be cheap.
 	ChargeOp()
-	// Check decides whether execution may continue past a boundary.
-	// Driving goroutine only, outside regions. A non-nil error aborts
-	// the run via a thrown Abort.
+	// Check decides whether execution may continue past a boundary. It
+	// never runs inside a ParallelNodes body. A non-nil error aborts the
+	// run via a thrown Abort.
 	Check(op string, node int, now vtime.Time) error
 	// ChargeAlloc records an allocation estimate; a non-nil error
 	// aborts the allocating operation.
@@ -66,29 +64,25 @@ func nodeName(node int) string {
 }
 
 // SetGovernor installs (or, with nil, removes) the governor. Call from
-// the driving goroutine outside any region, like Observe.
-func (m *Machine) SetGovernor(g Governor) {
-	m.noRegion("SetGovernor")
-	m.gov = g
-}
+// the driving goroutine, like Observe.
+func (m *Machine) SetGovernor(g Governor) { m.gov = g }
 
-// govern is the per-operation boundary: charge always, check only on
-// the driving goroutine outside (pooled or sequential-fallback) node
-// regions.
+// govern is the per-operation boundary: charge always, check only
+// outside ParallelNodes bodies.
 func (m *Machine) govern(op string, node int) {
 	g := m.gov
 	if g == nil {
 		return
 	}
 	g.ChargeOp()
-	if m.region != nil || m.govQuiet > 0 {
+	if m.govQuiet > 0 {
 		return
 	}
 	m.checkGovernor(g, op, node)
 }
 
 // checkGovernor runs one governor check and throws the Abort on a stop
-// verdict. Driving goroutine only.
+// verdict.
 func (m *Machine) checkGovernor(g Governor, op string, node int) {
 	now := m.GlobalNow()
 	if err := g.Check(op, node, now); err != nil {
@@ -96,17 +90,12 @@ func (m *Machine) checkGovernor(g Governor, op string, node int) {
 	}
 }
 
-// ResetTransient clears mid-operation transient state — an open region
-// buffer, an active replay clock, the governor-quiet depth — after a
-// panic unwound through the machine. Clocks, stats and crash windows
-// are untouched: the containment barrier calls this so end-of-run
-// accounting (flush, crash finalisation, the degradation report) can
-// still read a consistent machine.
-func (m *Machine) ResetTransient() {
-	m.region = nil
-	m.replay = replayClock{}
-	m.govQuiet = 0
-}
+// ResetTransient clears the governor-quiet depth after a panic unwound
+// through a ParallelNodes body. Clocks, stats and crash windows are
+// untouched: the containment barrier calls this so end-of-run
+// accounting (flush, crash finalisation, the degradation report) still
+// runs its governor checks.
+func (m *Machine) ResetTransient() { m.govQuiet = 0 }
 
 // ChargeAlloc reports an allocation estimate to the governor; the
 // runtime calls it when a parallel array materialises. Over-budget

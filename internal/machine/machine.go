@@ -20,12 +20,10 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"nvmap/internal/fault"
 	"nvmap/internal/obs"
-	"nvmap/internal/par"
 	"nvmap/internal/vtime"
 )
 
@@ -50,12 +48,6 @@ type Config struct {
 	// TreeStep is the per-level cost of combining/broadcast trees used by
 	// reductions, broadcasts and barriers on the control network.
 	TreeStep vtime.Duration
-	// Workers bounds the worker pool available to parallel node regions
-	// (see ParallelNodes): 0 selects GOMAXPROCS, 1 runs every region on
-	// the caller goroutine — the sequential engine. The worker count
-	// never changes any observable output; it only changes which host
-	// threads do the work.
-	Workers int
 	// Topology, when non-nil, models the hardware hierarchy beneath the
 	// logical nodes (see topology.go): messages between logical nodes
 	// are routed over the interconnect, charged per link crossed, and
@@ -178,10 +170,9 @@ type NodeStats struct {
 // nodeStats is the internal mirror of NodeStats with atomic fields, so
 // a metrics scrape (the obs registry's collectors, a profiling
 // service's /metrics endpoint) can read a node's counters while the run
-// is still mutating them. Each counter has exactly one writer at a time
-// (the driving goroutine, or the node's own region worker), so plain
-// Add/Load never lose updates; the atomics exist for the concurrent
-// reader, not for write contention.
+// is still mutating them. Each counter has exactly one writer (the
+// driving goroutine), so plain Add/Load never lose updates; the atomics
+// exist for the concurrent reader, not for write contention.
 type nodeStats struct {
 	computeTime atomic.Int64
 	computeOps  atomic.Int64
@@ -211,30 +202,15 @@ type Machine struct {
 	onCrash   []func(node int, at vtime.Time)
 	onRestart []func(node int, at vtime.Time)
 
-	// Parallel node regions (see parallel.go). workers is the resolved
-	// pool width; pool materialises on the first parallel region. region
-	// is non-nil exactly while ParallelNodes runs worker goroutines —
-	// during that window emit buffers per node instead of calling
-	// observers. replay overrides GlobalNow while the region's buffered
-	// events are flushed, reconstructing the clock a sequential run
-	// would have shown each observer.
-	workers int
-	pool    *par.Pool
-	region  *regionState
-	replay  replayClock
-	// regions is atomic so a mid-run metrics scrape can read it while
-	// the driving goroutine enters another region.
-	regions atomic.Int64
-
 	// obsT, when non-nil, records spans for collective operations and
-	// parallel node regions on the observability plane. Nil (the
-	// default) costs one pointer test per operation.
+	// node regions on the observability plane. Nil (the default) costs
+	// one pointer test per operation.
 	obsT *obs.Tracer
 
 	// gov, when non-nil, is consulted at every operation boundary (see
-	// governor.go). govQuiet suppresses governor checks (never charges)
-	// while a ParallelNodes body runs in either engine, so check points
-	// are identical across worker counts.
+	// governor.go). govQuiet is the ParallelNodes nesting depth: while it
+	// is non-zero operations charge but do not check, so a budget abort
+	// cuts at a region's end, never between two of its nodes.
 	gov      Governor
 	govQuiet int
 
@@ -257,18 +233,10 @@ func New(cfg Config) (*Machine, error) {
 		cfg.SendOverhead < 0 || cfg.DispatchLatency < 0 || cfg.TreeStep < 0 {
 		return nil, fmt.Errorf("machine: negative cost in config %+v", cfg)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("machine: negative worker count %d", cfg.Workers)
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	m := &Machine{
 		cfg:       cfg,
 		nodeClock: make([]vtime.Time, cfg.Nodes),
 		stats:     make([]nodeStats, cfg.Nodes),
-		workers:   workers,
 	}
 	if cfg.Topology != nil {
 		t := cfg.Topology
@@ -319,36 +287,22 @@ func (m *Machine) Config() Config { return m.cfg }
 // Nodes returns the partition size.
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
 
-// Workers returns the resolved worker-pool width (1 = sequential
-// engine). It is a property of the machine, not of the host: a machine
-// configured with 8 workers runs 8 workers on any core count.
-func (m *Machine) Workers() int { return m.workers }
-
 // Observe registers an observer for all subsequent events. Registration
 // is not synchronised with execution: call it from the goroutine that
 // drives the machine (normally before the run starts), never from
-// another goroutine and never from inside a ParallelNodes region — the
-// registration would race with the region's buffered emission, so it
-// panics there. Observers themselves never need to be re-entrant: even
-// under the worker pool, every observer call happens on the driving
-// goroutine, in exactly the sequential engine's event order.
+// another goroutine. Observers never need to be re-entrant: every
+// observer call happens on the driving goroutine, in event order.
 func (m *Machine) Observe(o Observer) {
-	if m.region != nil {
-		panic("machine: Observe inside a parallel node region")
-	}
 	m.observers = append(m.observers, o)
 }
 
 // SetObs attaches an observability tracer. Collective operations,
-// point-to-point sends and parallel node regions record spans bracketing
-// their execution — including any observer-driven measurement work, so
-// the tracer's nesting attributes that work to its own stages rather
-// than to the machine. A nil tracer (the default) disables recording.
-// Call from the driving goroutine, outside any region, like Observe.
+// point-to-point sends and node regions record spans bracketing their
+// execution — including any observer-driven measurement work, so the
+// tracer's nesting attributes that work to its own stages rather than
+// to the machine. A nil tracer (the default) disables recording. Call
+// from the driving goroutine, like Observe.
 func (m *Machine) SetObs(t *obs.Tracer) {
-	if m.region != nil {
-		panic("machine: SetObs inside a parallel node region")
-	}
 	m.obsT = t
 }
 
@@ -419,18 +373,8 @@ func (m *Machine) SetFaults(in *fault.Injector) { m.faults = in }
 // Faults returns the attached injector (nil when fault-free).
 func (m *Machine) Faults() *fault.Injector { return m.faults }
 
-// emit delivers an event to the observers. Inside a parallel node
-// region the event is buffered on its node instead; the region's merge
-// flush replays the buffers to the observers in node order, on the
-// driving goroutine (see parallel.go).
+// emit delivers an event to the observers.
 func (m *Machine) emit(e Event) {
-	if r := m.region; r != nil {
-		if e.Node < 0 {
-			panic("machine: control-processor event inside a parallel node region")
-		}
-		r.buf[e.Node] = append(r.buf[e.Node], e)
-		return
-	}
 	for _, o := range m.observers {
 		o(e)
 	}
@@ -443,15 +387,8 @@ func (m *Machine) Now(node int) vtime.Time { return m.nodeClock[node] }
 func (m *Machine) CPNow() vtime.Time { return m.cpClock }
 
 // GlobalNow returns the latest clock in the system — the virtual
-// wall-clock the tool's data manager timestamps samples with. While a
-// parallel region's buffered events are being flushed, it returns the
-// reconstructed sequential reading instead: the value a sequential run
-// would have computed at the matching point of its node loop, so
-// observers see identical timestamps under any worker count.
+// wall-clock the tool's data manager timestamps samples with.
 func (m *Machine) GlobalNow() vtime.Time {
-	if m.replay.active {
-		return m.replay.now
-	}
 	t := m.cpClock
 	for _, c := range m.nodeClock {
 		if c.After(t) {
@@ -490,6 +427,26 @@ func (m *Machine) treeDepth() int {
 	return bits.Len(uint(m.cfg.Nodes - 1))
 }
 
+// ParallelNodes runs f(node) for every node of the partition in node-id
+// order — the node-local phase between two collective operations. The
+// loop is bracketed by one region span, and governor checks are
+// suppressed inside it (operations still charge) and run once at its
+// end, so a budget abort cuts at the region boundary.
+func (m *Machine) ParallelNodes(f func(node int)) {
+	if m.obsT != nil {
+		ref := m.obsT.Begin(obs.StageRegion, "", obs.NodeCP, m.GlobalNow())
+		defer func() { m.obsT.End(ref, m.GlobalNow()) }()
+	}
+	m.govQuiet++
+	for node := 0; node < m.cfg.Nodes; node++ {
+		f(node)
+	}
+	m.govQuiet--
+	if g := m.gov; g != nil && m.govQuiet == 0 {
+		m.checkGovernor(g, "ParallelNodes", CP)
+	}
+}
+
 // AdvanceNode spends d of plain (unclassified) time on a node. Used by
 // the instrumentation layer to model probe perturbation. A dead node's
 // clock is frozen: the advance is discarded.
@@ -502,7 +459,6 @@ func (m *Machine) AdvanceNode(node int, d vtime.Duration) {
 
 // AdvanceCP spends d on the control processor.
 func (m *Machine) AdvanceCP(d vtime.Duration) {
-	m.noRegion("AdvanceCP")
 	m.govern("AdvanceCP", CP)
 	m.cpClock = m.cpClock.Add(d)
 }
@@ -548,7 +504,6 @@ func (m *Machine) Compute(node, elems int, tag string) {
 // arrival instant is always the sender's expectation — a sender cannot
 // observe that the network lost its message.
 func (m *Machine) Send(from, to, bytes int, tag string) vtime.Time {
-	m.noRegion("Send")
 	m.govern("Send", from)
 	if !m.Engage(from) {
 		return m.nodeClock[from]
@@ -613,7 +568,6 @@ func (m *Machine) deliver(from, to, bytes int, arrival vtime.Time, tag string) {
 // It returns the per-node argument-processing spans via the emitted
 // events; the runtime layers instrumentation on top.
 func (m *Machine) Dispatch(tag string, argBytes int) {
-	m.noRegion("Dispatch")
 	m.govern("Dispatch", CP)
 	if m.obsT != nil {
 		ref := m.obsT.Begin(obs.StageDispatch, tag, obs.NodeCP, m.cpClock)
@@ -644,7 +598,6 @@ func (m *Machine) Dispatch(tag string, argBytes int) {
 // Broadcast models a data broadcast from the control processor to all
 // nodes over the tree network.
 func (m *Machine) Broadcast(bytes int, tag string) {
-	m.noRegion("Broadcast")
 	m.govern("Broadcast", CP)
 	if m.obsT != nil {
 		ref := m.obsT.Begin(obs.StageBroadcast, tag, obs.NodeCP, m.cpClock)
@@ -679,7 +632,6 @@ func (m *Machine) Broadcast(bytes int, tag string) {
 // contribution plus the tree traversal. Per-node reduce events cover each
 // node's participation; the CP event covers the tree completion.
 func (m *Machine) Reduce(bytes int, tag string) {
-	m.noRegion("Reduce")
 	m.govern("Reduce", CP)
 	if m.obsT != nil {
 		ref := m.obsT.Begin(obs.StageReduce, tag, obs.NodeCP, m.GlobalNow())
@@ -713,7 +665,6 @@ func (m *Machine) Reduce(bytes int, tag string) {
 // Barrier synchronises every node (not the CP) at the latest clock plus
 // one tree traversal, accounting the wait as idle time.
 func (m *Machine) Barrier(tag string) {
-	m.noRegion("Barrier")
 	m.govern("Barrier", CP)
 	if m.obsT != nil {
 		ref := m.obsT.Begin(obs.StageBarrier, tag, obs.NodeCP, m.GlobalNow())
@@ -746,7 +697,6 @@ func (m *Machine) Barrier(tag string) {
 // WaitCPForNodes advances the control processor to the latest node clock;
 // used when the CP blocks on completion of a node code block.
 func (m *Machine) WaitCPForNodes() {
-	m.noRegion("WaitCPForNodes")
 	var latest vtime.Time
 	for _, c := range m.nodeClock {
 		if c.After(latest) {

@@ -10,9 +10,8 @@ import (
 // This file holds the interconnect accounting that exists only when the
 // machine has a Topology: per-link loads, congestion/dilation counters,
 // and the logical traffic matrix placement algorithms consume. All
-// writes happen on the driving goroutine (Send is region-free); the
-// mutex exists for concurrent metric scrapes, mirroring the atomic
-// per-node stats.
+// writes happen on the driving goroutine; the mutex exists for
+// concurrent metric scrapes, mirroring the atomic per-node stats.
 
 // NetStats summarises interconnect activity since the run began. All
 // zeros on a machine without a topology.
@@ -81,9 +80,6 @@ func (m *Machine) Placement() []int { return m.place }
 // register from the driving goroutine before the run starts; callbacks
 // run on the driving goroutine. No-op without a topology.
 func (m *Machine) OnRoute(fn func(from, to, bytes int, links []Link, at vtime.Time)) {
-	if m.region != nil {
-		panic("machine: OnRoute inside a parallel node region")
-	}
 	m.onRoute = append(m.onRoute, fn)
 }
 

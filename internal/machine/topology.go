@@ -24,7 +24,7 @@ import (
 // a torus each dimension travels the shorter way around, breaking exact
 // ties toward the positive direction. Determinism here is load-bearing —
 // per-link loads, congestion and dilation counters, and every derived
-// report must be byte-identical across runs and worker counts.
+// report must be byte-identical across runs.
 type Topology struct {
 	// GridX and GridY are the interconnect dimensions; the topology has
 	// GridX*GridY hardware nodes. A linear array is GridY = 1.

@@ -27,8 +27,8 @@ func exportBarrier(what string, err *error) {
 // Timestamps and durations are VIRTUAL time expressed in microseconds
 // (the trace_event unit), with nanosecond precision as fractional
 // digits. Wall-clock costs are deliberately excluded: they differ run
-// to run, and the exported bytes must be identical across worker
-// counts. Rows (tid) are nodes, with the control processor on tid 0.
+// to run, and the exported bytes must not. Rows (tid) are nodes, with
+// the control processor on tid 0.
 //
 // The JSON is built by hand, field order fixed, so the output is
 // byte-stable.

@@ -8,7 +8,7 @@
 //
 //   - A span Tracer recording (virtual-time, wall-time, node, stage)
 //     intervals for every pipeline stage — machine collectives and
-//     parallel node regions, daemon channel sends and drains, SAS
+//     node regions, daemon channel sends and drains, SAS
 //     activations and question matches, the sampler's read and commit
 //     phases, checkpoint/restore, and PIF import — in a bounded ring
 //     buffer with deterministic span IDs.
@@ -52,7 +52,7 @@ const (
 	StageIdle
 	StageCrash
 	StageRestart
-	StageRegion // a ParallelNodes bulk-synchronous node region
+	StageRegion // a ParallelNodes node-local region
 
 	// Daemon level: the shared sample/mapping conduit.
 	StageDaemonSend

@@ -35,7 +35,7 @@ type LevelCost struct {
 // instrumentation-cost discussion applied to the tool itself. Wall
 // values are host measurements and vary run to run; the report's
 // structure (which stages ran, how many spans, their virtual-time
-// totals) is deterministic across worker counts.
+// totals) is deterministic.
 type PerturbationReport struct {
 	// RunWall is the measured wall-clock duration of Session.Run in
 	// host nanoseconds.
@@ -117,8 +117,7 @@ func (r PerturbationReport) ByLevel() []LevelCost {
 
 // Structure renders the deterministic part of the report — stage
 // sentences, span counts and virtual-time totals, without wall values —
-// identical across worker counts for the same workload. Golden tests
-// compare this string.
+// identical from run to run for the same workload.
 func (r PerturbationReport) Structure() string {
 	var b strings.Builder
 	for _, s := range r.Stages {

@@ -13,8 +13,8 @@ import (
 // accepts; the _sum is virtual-time mass, deterministic across runs.
 //
 // When includeUnstable is false, metrics registered as unstable (values
-// that vary with worker count or process history) are omitted, making
-// the output byte-stable across worker counts.
+// that vary with process history or wall clock) are omitted, making
+// the output byte-stable from run to run.
 func WritePrometheus(w io.Writer, r *Registry, includeUnstable bool) (err error) {
 	defer exportBarrier("prometheus", &err)
 	bw := bufio.NewWriter(w)

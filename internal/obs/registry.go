@@ -171,9 +171,9 @@ type entry struct {
 // idempotent by name (re-registering returns the existing instrument).
 // Snapshot produces a deterministic, name-sorted view.
 //
-// Metrics marked unstable carry values that legitimately differ across
-// worker counts or process history (pool sizes, interner growth, region
-// counts); exporters exclude them from byte-stable golden output unless
+// Metrics marked unstable carry values that legitimately differ from
+// run to run (interner growth and other process history, wall-clock
+// costs); exporters exclude them from byte-stable golden output unless
 // asked.
 type Registry struct {
 	mu      sync.Mutex
@@ -244,8 +244,8 @@ func (r *Registry) Histogram(name, help string, binWidth vtime.Duration) *VHist 
 }
 
 // Func registers a pull-model collector: fn is called at snapshot time.
-// unstable marks metrics whose values differ across worker counts or
-// process history; stable exports exclude them. Re-registering a name
+// unstable marks metrics whose values differ with process history or
+// wall clock; stable exports exclude them. Re-registering a name
 // replaces the previous collector (a session re-wiring its components).
 func (r *Registry) Func(name, help string, kind Kind, unstable bool, fn func() float64) {
 	if r == nil {
@@ -275,7 +275,7 @@ type Sample struct {
 // Snapshot reads every registered metric and returns the samples sorted
 // by name. When includeUnstable is false, metrics registered as
 // unstable are omitted — this is the byte-stable view the golden tests
-// compare across worker counts.
+// compare.
 func (r *Registry) Snapshot(includeUnstable bool) []Sample {
 	if r == nil {
 		return nil

@@ -43,10 +43,10 @@ type frame struct {
 
 // Tracer records pipeline spans into a bounded ring buffer and
 // accumulates per-stage totals. All recording happens on the session's
-// driving goroutine (the same single-threaded order the machine's
-// observer stream guarantees), so span IDs and the span sequence are
-// byte-stable across worker counts; the mutex exists only so exporters
-// and the HTTP handler can read concurrently with a live run.
+// driving goroutine (the same single-threaded order as the machine's
+// observer stream), so span IDs and the span sequence are byte-stable;
+// the mutex exists only so exporters and the HTTP handler can read
+// concurrently with a live run.
 //
 // A nil *Tracer is the disabled state: Begin/End/Event on nil are
 // no-ops, making every instrumentation site a single pointer test.

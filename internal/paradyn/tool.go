@@ -16,7 +16,6 @@ import (
 	"nvmap/internal/mdl"
 	"nvmap/internal/nv"
 	"nvmap/internal/obs"
-	"nvmap/internal/par"
 	"nvmap/internal/pif"
 	"nvmap/internal/sas"
 	"nvmap/internal/vtime"
@@ -59,11 +58,6 @@ type Options struct {
 	SampleEvery vtime.Duration
 	// HistBins sets histogram resolution (0 = hist.DefaultBins).
 	HistBins int
-	// Workers bounds the worker pool SampleAll uses to read enabled
-	// metric values concurrently, and is inherited by the tool's SAS
-	// registry: 0 selects GOMAXPROCS, 1 keeps sampling on the caller
-	// goroutine. Never changes any sample value or ordering.
-	Workers int
 	// Obs attaches the observability plane: sampling rounds and PIF
 	// import record spans, the daemon channel registers its traffic
 	// metrics and batch spans, and the per-node SASes record
@@ -105,14 +99,8 @@ type Tool struct {
 	shed int
 	// sampleBuf is the reusable batch SampleAll assembles before one
 	// SendBatch; the channel copies messages out, so the buffer is
-	// safely reused across sampling rounds. liveBuf and valueBuf are the
-	// matching reusable scratch for one round's samplable metrics and
-	// their concurrently read values; pool materialises on the first
-	// round big enough to fan out (see Options.Workers).
+	// safely reused across sampling rounds.
 	sampleBuf []daemon.Message
-	liveBuf   []*EnabledMetric
-	valueBuf  []float64
-	pool      *par.Pool
 
 	// channel is the daemon conduit of Section 5: the instrumentation
 	// library emits dynamic mapping information and performance samples
@@ -257,7 +245,7 @@ func New(rt *cmrts.Runtime, lib *mdl.Library, opts Options) (*Tool, error) {
 		lib:          lib,
 		opts:         opts,
 		Axis:         NewWhereAxis(),
-		SASes:        sas.NewRegistry(sas.Options{Workers: opts.Workers, Obs: opts.Obs}),
+		SASes:        sas.NewRegistry(sas.Options{Obs: opts.Obs}),
 		arraysByName: make(map[string][]cmrts.ArrayID),
 		arrayNames:   make(map[cmrts.ArrayID]string),
 		stmtBlocks:   make(map[string][]string),
@@ -817,66 +805,34 @@ func (t *Tool) Disable(em *EnabledMetric) error {
 // Enabled lists the currently enabled metric-focus pairs.
 func (t *Tool) Enabled() []*EnabledMetric { return append([]*EnabledMetric(nil), t.enabled...) }
 
-// sampleFanOut is the minimum number of samplable metric-focus pairs
-// for SampleAll to read values on the worker pool; below it the fan-out
-// costs more than the reads. Scheduling only — samples are identical.
-const sampleFanOut = 8
-
 // SampleAll deposits each enabled metric's delta since its last sample
 // into its histogram. The machine adapter calls this on the sampling
 // interval; experiments may call it at barriers for exact readings.
-//
-// The round runs in two stages. Reading a metric's value at an instant
-// is a pure function of the instrumentation counters, so large rounds
-// read all values concurrently on the tool's worker pool. Committing a
-// sample — updating the pair's last value/time and appending its
-// message to the batch — orders the round, so it always walks the
-// enabled list sequentially in registration order. The batch that
-// crosses the daemon channel is byte-identical under any Workers
-// setting.
+// Metrics are read and their samples batched in registration order.
 func (t *Tool) SampleAll(now vtime.Time) {
 	if now.Before(t.lastSample) {
 		return
 	}
 	prev := t.lastSample
 	t.lastSample = now
-	live := t.liveBuf[:0]
-	for _, em := range t.enabled {
-		if !em.disabled && !now.Before(em.lastTime) {
-			live = append(live, em)
-		}
-	}
-	t.liveBuf = live
-	vals := append(t.valueBuf[:0], make([]float64, len(live))...)
-	t.valueBuf = vals
-	// The read phase spans the sampling interval [prev, now]; the commit
-	// phase (and the daemon batch it sends) is instantaneous at now. Both
-	// spans record on the driving goroutine — the pool workers below only
-	// read instrumentation counters.
+	// Reading the round spans the sampling interval [prev, now]; the
+	// commit (the daemon batch and its drain) is instantaneous at now.
 	var readRef obs.SpanRef
 	if t.obsT != nil {
 		readRef = t.obsT.Begin(obs.StageSampleRead, "", obs.NodeCP, prev)
 	}
-	if len(live) >= sampleFanOut {
-		if t.pool == nil {
-			t.pool = par.New(t.opts.Workers)
-		}
-		t.pool.Do(len(live), func(i int) { vals[i] = live[i].Instance.Value(now) })
-	} else {
-		for i, em := range live {
-			vals[i] = em.Instance.Value(now)
+	buf := t.sampleBuf[:0]
+	for _, em := range t.enabled {
+		if !em.disabled {
+			buf = em.sampleInto(now, buf)
 		}
 	}
+	t.sampleBuf = buf
 	if t.obsT != nil {
 		t.obsT.End(readRef, now)
 		ref := t.obsT.Begin(obs.StageSampleCommit, "", obs.NodeCP, now)
 		defer t.obsT.End(ref, now)
 	}
-	buf := t.sampleBuf[:0]
-	for i, em := range live {
-		buf = em.commitSample(now, vals[i], buf)
-	}
-	t.sampleBuf = buf
 	// One sampling round travels the channel as one batch — the
 	// instrumentation library aggregating a round's readings before
 	// crossing the conduit — in the same per-metric order as before.
@@ -906,12 +862,7 @@ func (em *EnabledMetric) sampleInto(now vtime.Time, buf []daemon.Message) []daem
 	if now.Before(em.lastTime) {
 		return buf
 	}
-	return em.commitSample(now, em.Instance.Value(now), buf)
-}
-
-// commitSample is sampleInto with the value already read (SampleAll
-// reads a whole round's values concurrently, then commits in order).
-func (em *EnabledMetric) commitSample(now vtime.Time, v float64, buf []daemon.Message) []daemon.Message {
+	v := em.Instance.Value(now)
 	delta := v - em.lastValue
 	if delta != 0 {
 		if em.tool != nil {

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nvmap/internal/arena"
 	"nvmap/internal/nv"
-	"nvmap/internal/par"
 	"nvmap/internal/vtime"
 )
 
@@ -149,46 +147,6 @@ type Registry struct {
 	// in order, so ResetNode can re-register them after a crash with the
 	// same sequentially assigned QuestionIDs.
 	asked []Question
-	// pool fans per-node reads (Result, Stats, ApplyRemote) out across
-	// the SASes; it materialises on the first fan-out that clears
-	// registryFanOut (see Options.Workers).
-	pool *par.Pool
-
-	// aggMu guards the aggregation scratch arenas below: per-call rows
-	// (results, errors, presence flags, stats) are carved from the
-	// arenas and reclaimed wholesale when the aggregation returns, so
-	// the periodic answer-collection cycle allocates nothing after
-	// warm-up.
-	aggMu    sync.Mutex
-	resRows  arena.Arena[Result]
-	errRows  arena.Arena[error]
-	hasRows  arena.Arena[bool]
-	statRows arena.Arena[Stats]
-}
-
-// registryFanOut is the minimum node count for registry operations to
-// engage the worker pool; below it the fan-out costs more than the
-// per-node work. Scheduling only — results are identical either way.
-const registryFanOut = 8
-
-// fanOut runs f(i) for every SAS of the snapshot, on the pool when the
-// partition is big enough. f must confine its writes to slot i and to
-// nodes[i]'s own state; distinct SASes lock independently, so per-node
-// reads and remote applications on different SASes never contend.
-func (r *Registry) fanOut(nodes []*SAS, f func(i int)) {
-	if len(nodes) < registryFanOut {
-		for i := range nodes {
-			f(i)
-		}
-		return
-	}
-	r.mu.Lock()
-	if r.pool == nil {
-		r.pool = par.New(r.opts.Workers)
-	}
-	p := r.pool
-	r.mu.Unlock()
-	p.Do(len(nodes), f)
 }
 
 // NewRegistry returns a registry that creates per-node SASes with the
@@ -286,76 +244,37 @@ func (r *Registry) AddQuestionAll(q Question) (map[int]QuestionID, error) {
 }
 
 // AggregateResult sums the per-node results of a question registered via
-// AddQuestionAll. On large partitions the per-node evaluations run on
-// the registry's worker pool; the fold itself always walks nodes in id
-// order, so the aggregate — and which node's error is reported when
-// several fail — is identical under any Workers setting.
+// AddQuestionAll. The fold walks nodes in id order, so when several
+// nodes fail the lowest node id's error is the one reported.
 func (r *Registry) AggregateResult(ids map[int]QuestionID, now vtime.Time) (Result, error) {
-	nodes := r.Nodes()
-	r.aggMu.Lock()
-	defer func() {
-		r.resRows.Reset()
-		r.errRows.Reset()
-		r.hasRows.Reset()
-		r.aggMu.Unlock()
-	}()
-	res := r.resRows.Alloc(len(nodes))
-	errs := r.errRows.Alloc(len(nodes))
-	has := r.hasRows.Alloc(len(nodes))
-	r.fanOut(nodes, func(i int) {
-		id, ok := ids[nodes[i].node]
-		if !ok {
-			return
-		}
-		has[i] = true
-		res[i], errs[i] = nodes[i].Result(id, now)
-	})
 	var agg Result
 	first := true
-	for i := range nodes {
-		if !has[i] {
+	for _, s := range r.Nodes() {
+		id, ok := ids[s.node]
+		if !ok {
 			continue
 		}
-		if errs[i] != nil {
-			return Result{}, errs[i]
+		res, err := s.Result(id, now)
+		if err != nil {
+			return Result{}, err
 		}
 		if first {
-			agg.Question = res[i].Question
+			agg.Question = res.Question
 			first = false
 		}
-		agg.Count += res[i].Count
-		agg.EventTime += res[i].EventTime
-		agg.SatisfiedTime += res[i].SatisfiedTime
-		agg.Satisfied = agg.Satisfied || res[i].Satisfied
+		agg.Count += res.Count
+		agg.EventTime += res.EventTime
+		agg.SatisfiedTime += res.SatisfiedTime
+		agg.Satisfied = agg.Satisfied || res.Satisfied
 	}
 	return agg, nil
 }
 
-// ArenaStats reports the registry's aggregation scratch arenas: the
-// deepest combined allocation high water and the combined slab
-// capacity, in rows, across the four row types. Exposed for the
-// observability plane's arena gauges.
-func (r *Registry) ArenaStats() (highWater, capacity int) {
-	r.aggMu.Lock()
-	defer r.aggMu.Unlock()
-	highWater = r.resRows.HighWater() + r.errRows.HighWater() + r.hasRows.HighWater() + r.statRows.HighWater()
-	capacity = r.resRows.Cap() + r.errRows.Cap() + r.hasRows.Cap() + r.statRows.Cap()
-	return highWater, capacity
-}
-
-// TotalStats sums the notification statistics over every node, reading
-// the per-node counters on the worker pool for large partitions.
+// TotalStats sums the notification statistics over every node.
 func (r *Registry) TotalStats() Stats {
-	nodes := r.Nodes()
-	r.aggMu.Lock()
-	defer func() {
-		r.statRows.Reset()
-		r.aggMu.Unlock()
-	}()
-	sts := r.statRows.Alloc(len(nodes))
-	r.fanOut(nodes, func(i int) { sts[i] = nodes[i].Stats() })
 	var t Stats
-	for _, st := range sts {
+	for _, s := range r.Nodes() {
+		st := s.Stats()
 		t.Notifications += st.Notifications
 		t.Ignored += st.Ignored
 		t.Stored += st.Stored
@@ -368,21 +287,14 @@ func (r *Registry) TotalStats() Stats {
 }
 
 // ApplyRemoteAll applies one exported activation event to every
-// materialised SAS except the exporter's own — the broadcast form of
-// cross-node forwarding, for sentences every node's questions may need
-// (the paper's duplicated-SAS model makes replication the common case).
-// Distinct SASes apply the event under their own locks, so large
-// partitions fan out on the worker pool. Each SAS's resulting state
-// depends only on its own prior state and the event, so the fan-out is
-// deterministic; a destination whose own export rules match the event
-// would cascade sends in pool order, so registries wired into an export
-// mesh should run with Workers 1.
+// materialised SAS except the exporter's own, in node-id order — the
+// broadcast form of cross-node forwarding, for sentences every node's
+// questions may need (the paper's duplicated-SAS model makes
+// replication the common case).
 func (r *Registry) ApplyRemoteAll(ev Event) {
-	nodes := r.Nodes()
-	r.fanOut(nodes, func(i int) {
-		if nodes[i].node == ev.FromNode {
-			return
+	for _, s := range r.Nodes() {
+		if s.node != ev.FromNode {
+			s.ApplyRemote(ev)
 		}
-		nodes[i].ApplyRemote(ev)
-	})
+	}
 }

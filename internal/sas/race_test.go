@@ -16,7 +16,7 @@ import (
 // Run under -race this fails if any counter access is non-atomic.
 func TestConcurrentStatsReaders(t *testing.T) {
 	const nodes, rounds = 4, 300
-	r := NewRegistry(Options{Workers: nodes})
+	r := NewRegistry(Options{})
 	for n := 0; n < nodes; n++ {
 		r.Node(n)
 	}

@@ -505,18 +505,12 @@ type Options struct {
 	// (not stored). The notification cost is still counted in Stats, as
 	// in the paper's limitation discussion.
 	Filter bool
-	// Workers bounds the worker pool a Registry uses to fan out per-node
-	// aggregation and remote-event application across its SASes: 0
-	// selects GOMAXPROCS, 1 keeps every registry operation on the caller
-	// goroutine. Individual SASes ignore it. Like the machine's engine,
-	// the worker count never changes any result.
-	Workers int
 	// Obs attaches the observability plane: Activate, Deactivate,
 	// RecordEvent and RecordSpan record spans on its tracer. Span
 	// recording assumes the notifying operations run on one goroutine
 	// (the session's driving goroutine, where all monitoring code
-	// lives); registries wired into a concurrent export mesh should
-	// leave it nil or run with Workers 1. Nil disables recording.
+	// lives); SASes notified from several goroutines should leave it
+	// nil. Nil disables recording.
 	Obs *obs.Plane
 }
 

@@ -40,12 +40,6 @@ func (s *Server) validateDiagnose(req *DiagnoseRequest) error {
 	if req.Nodes < 1 || req.Nodes > s.cfg.MaxNodes {
 		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, s.cfg.MaxNodes)
 	}
-	if req.Workers == 0 {
-		req.Workers = 1
-	}
-	if req.Workers < 1 || req.Workers > s.cfg.MaxWorkers {
-		return fmt.Errorf("workers %d out of range [1, %d]", req.Workers, s.cfg.MaxWorkers)
-	}
 	if req.Budget < 0 {
 		return fmt.Errorf("budget %d is negative (0 selects the default)", req.Budget)
 	}
@@ -154,7 +148,6 @@ func (s *Server) runDiagnose(w http.ResponseWriter, r *http.Request, id uint64,
 	}
 	opts := []nvmap.Option{
 		nvmap.WithNodes(req.Nodes),
-		nvmap.WithWorkers(req.Workers),
 		nvmap.WithSourceFile(name),
 	}
 	if req.Fuse {

@@ -171,7 +171,6 @@ func TestDiagnoseBadRequests(t *testing.T) {
 		{},                                 // neither source nor scenario
 		{Scenario: "bogus"},                // unknown scenario
 		{Source: diagSource, Nodes: -1},    // bad nodes
-		{Source: diagSource, Workers: 99},  // beyond MaxWorkers
 		{Source: diagSource, Budget: -3},   // negative budget
 		{Source: diagSource, Threshold: 1}, // threshold outside [0, 1)
 		{Source: diagSource, MaxDepth: -1}, // negative depth

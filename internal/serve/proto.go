@@ -49,11 +49,10 @@ type SessionRequest struct {
 	// shape, fault schedule). The same (scenario, seed, nodes) is the
 	// same run, byte for byte.
 	Seed int64 `json:"seed,omitempty"`
-	// Nodes and Workers configure the partition (defaults 8 / 1; both
-	// clamped by the server's per-request caps).
-	Nodes   int  `json:"nodes,omitempty"`
-	Workers int  `json:"workers,omitempty"`
-	Fuse    bool `json:"fuse,omitempty"`
+	// Nodes sizes the partition (default 8, clamped by the server's
+	// per-request cap).
+	Nodes int  `json:"nodes,omitempty"`
+	Fuse  bool `json:"fuse,omitempty"`
 	// Metrics are metric-library IDs enabled at the whole-program focus
 	// and answered after the run.
 	Metrics []string `json:"metrics,omitempty"`
@@ -89,7 +88,6 @@ type DiagnoseRequest struct {
 	Scenario string `json:"scenario,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
 	Nodes    int    `json:"nodes,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	Fuse     bool   `json:"fuse,omitempty"`
 	// Budget caps probe evaluations (0 selects the engine default;
 	// negative is a bad request).

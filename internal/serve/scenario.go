@@ -21,7 +21,7 @@ const (
 	ScenarioPlain    = "plain"    // fault-free, modest program
 	ScenarioFaulty   = "faulty"   // lossy messages + bounded channel
 	ScenarioCrashy   = "crashy"   // transient crashes + one permanent loss
-	ScenarioParallel = "parallel" // big arrays, engages the region pool
+	ScenarioParallel = "parallel" // fault-free, large arrays
 )
 
 // ScenarioKinds lists every valid kind, in the order load mixes cycle
@@ -52,9 +52,9 @@ func (r *srng) next() uint64 {
 func (r *srng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // ScenarioProgram renders the deterministic CM Fortran program for
-// (kind, seed). Parallel scenarios use arrays big enough to clear
-// machine.ParallelThreshold; the others stay modest so a loaded daemon
-// turns sessions over quickly.
+// (kind, seed). Parallel scenarios use large arrays (a data-heavy
+// run); the others stay modest so a loaded daemon turns sessions over
+// quickly.
 func ScenarioProgram(kind string, seed int64) string {
 	r := &srng{state: uint64(seed)*2654435761 + hashKind(kind)}
 	size := 64

@@ -36,10 +36,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxNodes / MaxWorkers clamp per-request partition sizing
-	// (defaults 64 / 16).
-	MaxNodes   int
-	MaxWorkers int
+	// MaxNodes clamps per-request partition sizing (default 64).
+	MaxNodes int
 	// DefaultQuota applies to tenants without an entry in Quotas. The
 	// zero quota is unlimited.
 	DefaultQuota TenantQuota
@@ -67,9 +65,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 64
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 16
 	}
 	if c.AvgRun <= 0 {
 		c.AvgRun = 200 * time.Millisecond
@@ -284,12 +279,6 @@ func (s *Server) validate(req *SessionRequest) error {
 	if req.Nodes < 1 || req.Nodes > s.cfg.MaxNodes {
 		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, s.cfg.MaxNodes)
 	}
-	if req.Workers == 0 {
-		req.Workers = 1
-	}
-	if req.Workers < 1 || req.Workers > s.cfg.MaxWorkers {
-		return fmt.Errorf("workers %d out of range [1, %d]", req.Workers, s.cfg.MaxWorkers)
-	}
 	if req.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms %d is negative", req.DeadlineMS)
 	}
@@ -396,7 +385,6 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, id uint64,
 	}
 	opts := []nvmap.Option{
 		nvmap.WithNodes(req.Nodes),
-		nvmap.WithWorkers(req.Workers),
 		nvmap.WithSourceFile(serveSourceName(req)),
 	}
 	if req.Fuse {

@@ -23,6 +23,11 @@ import (
 func postSession(t *testing.T, ts *httptest.Server, req SessionRequest) (int, http.Header, []Event) {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return postSessionBody(t, ts, body)
+}
+
+func postSessionBody(t *testing.T, ts *httptest.Server, body []byte) (int, http.Header, []Event) {
+	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/sessions: %v", err)
@@ -120,10 +125,9 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 
 	cases := []SessionRequest{
-		{},                               // neither source nor scenario
-		{Scenario: "bogus"},              // unknown scenario
-		{Scenario: "plain", Nodes: -2},   // bad nodes
-		{Scenario: "plain", Workers: 99}, // beyond MaxWorkers
+		{},                             // neither source nor scenario
+		{Scenario: "bogus"},            // unknown scenario
+		{Scenario: "plain", Nodes: -2}, // bad nodes
 		{Scenario: "plain", DeadlineMS: -5},
 		{Source: "PROGRAM x\nTHIS IS NOT FORTRAN\nEND\n"}, // compile error
 		{Scenario: "plain", Metrics: []string{"no_such_metric"}},
@@ -139,7 +143,13 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("case %d: error event %+v", i, events)
 		}
 	}
-	if c := s.Counters(); c.BadRequests != int64(len(cases)) || c.Completed != 0 {
+	// The decoder is lenient: a client still sending the retired
+	// "workers" field is served, not rejected.
+	status, _, events := postSessionBody(t, ts, []byte(`{"scenario":"plain","workers":8}`))
+	if status != 200 || eventByKind(events, "done") == nil {
+		t.Errorf("legacy workers field: status %d, events %+v", status, events)
+	}
+	if c := s.Counters(); c.BadRequests != int64(len(cases)) || c.Completed != 1 {
 		t.Fatalf("counters %+v", c)
 	}
 }
@@ -539,8 +549,7 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 
 // TestRecoveryUnderService is the recovery-under-service contract: a
 // crashy fault plan routed through the daemon returns the same partial
-// annotations and lost-time accounting as a direct Session.Run, and
-// both are byte-identical across worker counts 1, 2 and 8.
+// annotations and lost-time accounting as a direct Session.Run.
 func TestRecoveryUnderService(t *testing.T) {
 	const (
 		kind  = ScenarioCrashy
@@ -555,11 +564,10 @@ func TestRecoveryUnderService(t *testing.T) {
 		lostNodes string
 	}
 
-	direct := func(workers int) fingerprint {
+	direct := func() fingerprint {
 		plan, rc := ScenarioPlan(kind, seed, nodes)
 		opts := []nvmap.Option{
 			nvmap.WithNodes(nodes),
-			nvmap.WithWorkers(workers),
 			nvmap.WithSourceFile(fmt.Sprintf("%s-%d.fcm", kind, seed)),
 			nvmap.WithFaults(plan),
 			nvmap.WithRecovery(*rc),
@@ -574,7 +582,7 @@ func TestRecoveryUnderService(t *testing.T) {
 		}
 		rep, err := sess.Run()
 		if err != nil {
-			t.Fatalf("direct run workers=%d: %v", workers, err)
+			t.Fatalf("direct run: %v", err)
 		}
 		return fingerprint{
 			report:    rep.String(),
@@ -588,18 +596,18 @@ func TestRecoveryUnderService(t *testing.T) {
 	s := NewServer(Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	served := func(workers int) fingerprint {
+	served := func() fingerprint {
 		status, _, events := postSession(t, ts, SessionRequest{
-			Scenario: kind, Seed: seed, Nodes: nodes, Workers: workers,
+			Scenario: kind, Seed: seed, Nodes: nodes,
 			Metrics: []string{"computations"},
 		})
 		if status != 200 {
-			t.Fatalf("served run workers=%d: status %d %+v", workers, status, events)
+			t.Fatalf("served run: status %d %+v", status, events)
 		}
 		rep := eventByKind(events, "report")
 		ans := eventByKind(events, "answer")
 		if rep == nil || ans == nil || eventByKind(events, "done") == nil {
-			t.Fatalf("served run workers=%d events %+v", workers, events)
+			t.Fatalf("served run events %+v", events)
 		}
 		return fingerprint{
 			report:    rep.Report.Text,
@@ -610,20 +618,15 @@ func TestRecoveryUnderService(t *testing.T) {
 		}
 	}
 
-	ref := direct(1)
+	ref := direct()
 	if !strings.Contains(ref.partial, "(partial: lost node") {
 		t.Fatalf("crashy scenario produced no partial annotation: %q", ref.partial)
 	}
 	if ref.lostNS <= 0 || !strings.Contains(ref.report, "never recovered") {
 		t.Fatalf("crashy scenario lost no time:\n%s", ref.report)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		if got := direct(workers); got != ref {
-			t.Fatalf("direct run workers=%d diverged:\n%+v\nvs\n%+v", workers, got, ref)
-		}
-		if got := served(workers); got != ref {
-			t.Fatalf("served run workers=%d diverged from direct:\n%+v\nvs\n%+v", workers, got, ref)
-		}
+	if got := served(); got != ref {
+		t.Fatalf("served run diverged from direct:\n%+v\nvs\n%+v", got, ref)
 	}
 }
 

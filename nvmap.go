@@ -47,14 +47,6 @@ import (
 type Config struct {
 	// Nodes is the partition size (default 8).
 	Nodes int
-	// Workers bounds the host worker pool the whole measurement stack
-	// uses — the machine's parallel node regions, the tool's sampling
-	// rounds and its SAS registry: 0 selects GOMAXPROCS, 1 runs the
-	// entire session on the caller goroutine. Every session output is
-	// byte-identical under any setting; Workers trades host threads for
-	// wall-clock only. A Machine override's Workers field is replaced by
-	// this value when it is non-zero.
-	Workers int
 	// Machine overrides the machine cost model (nil = default for Nodes).
 	Machine *machine.Config
 	// Topology, when set, gives the machine a hardware topology: a grid
@@ -110,8 +102,8 @@ type Config struct {
 	// size, allocation estimate. Sheddable ceilings degrade gracefully
 	// (coarser sampling, harder batching) before the run is cut with a
 	// typed over-budget error. Budget cut points are deterministic: the
-	// same program, plan and budget cut at the same boundary under any
-	// worker count. Nil leaves the run ungoverned and pays nothing.
+	// same program, plan and budget cut at the same boundary on every
+	// run. Nil leaves the run ungoverned and pays nothing.
 	Budget *Budget
 	// StallTimeout arms the stall watchdog: a run that crosses no
 	// machine operation boundary for this long (wall clock), or whose
@@ -241,9 +233,6 @@ func newSession(source string, cfg Config) (*Session, error) {
 		mcfg = *cfg.Machine
 		mcfg.Nodes = cfg.Nodes
 	}
-	if cfg.Workers != 0 {
-		mcfg.Workers = cfg.Workers
-	}
 	if cfg.Topology != nil {
 		mcfg.Topology = cfg.Topology
 	}
@@ -274,11 +263,8 @@ func newSession(source string, cfg Config) (*Session, error) {
 			HistBins:      cfg.Observability.HistBins,
 		})
 	}
-	// The tool shares the session's resolved worker width, so
-	// WithWorkers(1) serialises the whole stack, not just the machine.
 	tool, err := paradyn.New(rt, mdl.StdLibrary(), paradyn.Options{
 		SampleEvery: cfg.SampleEvery,
-		Workers:     m.Workers(),
 		Obs:         plane,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 // This file wires the self-observability plane (internal/obs) through
 // the session: the measurement tool pointed at itself. When enabled,
-// every pipeline stage — machine collectives and parallel node regions,
+// every pipeline stage — machine collectives and node regions,
 // daemon channel traffic, SAS notifications, sampling rounds,
 // checkpoint/restore, PIF import and the run itself — records
 // (virtual-time, wall-time, node, stage) spans on one tracer, and the
@@ -51,10 +51,9 @@ func (s *Session) PerturbationReport() *obs.PerturbationReport {
 
 // wireObs attaches the plane's span recording and metric collectors to
 // a freshly built session. The machine's collective operations and
-// parallel regions record bracketing spans directly (SetObs); node-side
+// node regions record bracketing spans directly (SetObs); node-side
 // events — compute, idle, receive, crash, restart — arrive through the
-// observer stream, which the engine replays in deterministic node order
-// under any worker count, so the span sequence is byte-stable.
+// observer stream in event order, so the span sequence is byte-stable.
 func wireObs(s *Session, p *obs.Plane) {
 	s.obsPlane = p
 	tr := p.Tracer
@@ -76,9 +75,8 @@ func wireObs(s *Session, p *obs.Plane) {
 // registerSessionCollectors publishes the stack's existing statistics
 // structures as pull-model collectors: the registry reads them at
 // snapshot time, so the legacy accessors and the metrics view can never
-// disagree. Values that depend on the worker count or on process-wide
-// history are registered unstable and excluded from byte-stable
-// exports.
+// disagree. Values that depend on process-wide history or wall clock
+// are registered unstable and excluded from byte-stable exports.
 func registerSessionCollectors(s *Session, r *obs.Registry) {
 	machTotal := func(read func(machine.NodeStats) float64) func() float64 {
 		return func() float64 {
@@ -126,13 +124,6 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 		r.Func("nvmap_machine_net_max_link_msgs", "Heaviest directed link's message load.",
 			obs.KindGauge, false, netStat(func(st machine.NetStats) float64 { return float64(st.MaxLinkMsgs) }))
 	}
-
-	// Scheduling diagnostics: which engine ran is a worker-count
-	// artifact, never part of the deterministic result surface.
-	r.Func("nvmap_machine_workers", "Host worker pool width.",
-		obs.KindGauge, true, func() float64 { return float64(s.Machine.Workers()) })
-	r.Func("nvmap_machine_parallel_regions", "Node regions executed on the worker pool.",
-		obs.KindGauge, true, func() float64 { return float64(s.Machine.ParallelRegions()) })
 
 	registerSASCollectors(r, "nvmap_sas", "tool", s.Tool.SASes, s.Machine.Nodes)
 
@@ -258,8 +249,4 @@ func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Regis
 		obs.KindGauge, true, col(func(st sas.ColumnStats) float64 { return float64(st.Capacity) }))
 	r.Func(prefix+"_column_compactions_total"+lbl, "Swap-remove compactions summed over the partition's SASes.",
 		obs.KindCounter, true, col(func(st sas.ColumnStats) float64 { return float64(st.Compactions) }))
-	r.Func(prefix+"_agg_arena_highwater"+lbl, "Deepest aggregation-scratch arena use, in rows.",
-		obs.KindGauge, false, func() float64 { hw, _ := reg.ArenaStats(); return float64(hw) })
-	r.Func(prefix+"_agg_arena_capacity"+lbl, "Aggregation-scratch arena capacity, in rows.",
-		obs.KindGauge, false, func() float64 { _, cp := reg.ArenaStats(); return float64(cp) })
 }

@@ -37,11 +37,10 @@ END
 // obsSession builds the reference observed session: the quickstart
 // workload with gating, dynamic mapping, four metrics and a SAS monitor
 // question — every span-recording subsystem exercised.
-func obsSession(t testing.TB, workers int) *Session {
+func obsSession(t testing.TB) *Session {
 	t.Helper()
 	s, err := NewSession(obsWorkload,
 		WithNodes(8),
-		WithWorkers(workers),
 		WithSourceFile("quick.fcm"),
 		WithOutput(io.Discard),
 		WithObservability())
@@ -64,9 +63,9 @@ func obsSession(t testing.TB, workers int) *Session {
 
 // obsExports runs the reference session and returns its two
 // deterministic exports.
-func obsExports(t *testing.T, workers int) (chrome, prom string) {
+func obsExports(t *testing.T) (chrome, prom string) {
 	t.Helper()
-	s := obsSession(t, workers)
+	s := obsSession(t)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,55 +100,36 @@ func checkObsGolden(t *testing.T, name, got string) {
 }
 
 func TestObsExportGoldens(t *testing.T) {
-	chrome, prom := obsExports(t, 1)
+	chrome, prom := obsExports(t)
 	if !json.Valid([]byte(chrome)) {
 		t.Fatalf("chrome trace is not valid JSON:\n%.400s", chrome)
-	}
-	for _, workers := range []int{2, 8} {
-		c, p := obsExports(t, workers)
-		if c != chrome {
-			t.Errorf("chrome trace differs between workers=1 and workers=%d", workers)
-		}
-		if p != prom {
-			t.Errorf("prometheus export differs between workers=1 and workers=%d", workers)
-		}
 	}
 	checkObsGolden(t, "obs_quickstart_trace.json", chrome)
 	checkObsGolden(t, "obs_quickstart_metrics.prom", prom)
 }
 
-// TestObsPerturbation pins the perturbation report's two guarantees:
-// with a deterministic host clock it attributes at least 95% of the
-// run's wall self-cost to named stages, and its structural content
-// (stages, span counts, virtual time) is identical across worker
-// counts.
+// TestObsPerturbation pins the perturbation report's guarantee: with a
+// deterministic host clock it attributes at least 95% of the run's
+// wall self-cost to named stages.
 func TestObsPerturbation(t *testing.T) {
-	structure := make(map[int]string)
-	for _, workers := range []int{1, 8} {
-		s := obsSession(t, workers)
-		var tick int64
-		s.Observability().Tracer.SetWallClock(func() int64 {
-			tick += 1000
-			return tick
-		})
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		rep := s.PerturbationReport()
-		if rep == nil {
-			t.Fatal("no perturbation report after Run")
-		}
-		if att := rep.Attributed(); att < 0.95 {
-			t.Errorf("workers=%d: only %.1f%% of run wall attributed to stages", workers, 100*att)
-		}
-		if rep.RunWall <= 0 {
-			t.Errorf("workers=%d: non-positive run wall %d", workers, rep.RunWall)
-		}
-		structure[workers] = rep.Structure()
+	s := obsSession(t)
+	var tick int64
+	s.Observability().Tracer.SetWallClock(func() int64 {
+		tick += 1000
+		return tick
+	})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if structure[1] != structure[8] {
-		t.Errorf("perturbation structure differs across worker counts:\n--- workers=1\n%s--- workers=8\n%s",
-			structure[1], structure[8])
+	rep := s.PerturbationReport()
+	if rep == nil {
+		t.Fatal("no perturbation report after Run")
+	}
+	if att := rep.Attributed(); att < 0.95 {
+		t.Errorf("only %.1f%% of run wall attributed to stages", 100*att)
+	}
+	if rep.RunWall <= 0 {
+		t.Errorf("non-positive run wall %d", rep.RunWall)
 	}
 }
 
@@ -176,7 +156,7 @@ func TestObsDisabled(t *testing.T) {
 // Monitor.Stats() accessor and the registry's monitor-SAS collectors
 // read the same counters, so their values are equal at any instant.
 func TestMonitorStatsRegistryEquality(t *testing.T) {
-	s := obsSession(t, 0)
+	s := obsSession(t)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +191,7 @@ func TestMonitorStatsRegistryEquality(t *testing.T) {
 // TestObsDaemonStatsRegistryEquality pins the same contract for the
 // daemon channel's counters.
 func TestObsDaemonStatsRegistryEquality(t *testing.T) {
-	s := obsSession(t, 0)
+	s := obsSession(t)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

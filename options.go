@@ -60,16 +60,6 @@ func WithPlacement(leaves []int) Option {
 	return func(c *Config) { c.Placement = leaves }
 }
 
-// WithWorkers bounds the host worker pool for the whole measurement
-// stack — parallel node regions, concurrent metric sampling, and SAS
-// registry fan-outs. n = 1 runs the session entirely on the caller
-// goroutine; 0 (the default) selects GOMAXPROCS. Results are
-// byte-identical under any setting: the pool trades host threads for
-// wall-clock, never determinism. See Config.Workers.
-func WithWorkers(n int) Option {
-	return func(c *Config) { c.Workers = n }
-}
-
 // WithFuse enables the compiler's fusion of adjacent elementwise
 // statements (producing one-to-many mappings).
 func WithFuse() Option {
@@ -134,7 +124,7 @@ func WithObservabilityConfig(oc ObservabilityConfig) Option {
 // measurement fidelity first — the tool doubles its sampling interval
 // and batches channel drains harder, up to three times — before the run
 // is cut with a typed over-budget *SessionError. Budget cut points are
-// deterministic across worker counts. See Config.Budget.
+// deterministic. See Config.Budget.
 func WithBudget(b Budget) Option {
 	return func(c *Config) { c.Budget = &b }
 }

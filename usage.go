@@ -30,12 +30,6 @@ func (cfg *Config) validate() error {
 			Reason: fmt.Sprintf("partition size must be positive, got %d", cfg.Nodes),
 		}
 	}
-	if cfg.Workers < 0 {
-		return &UsageError{
-			Option: "WithWorkers",
-			Reason: fmt.Sprintf("worker bound must be >= 0, got %d", cfg.Workers),
-		}
-	}
 	topo := cfg.Topology
 	if topo == nil && cfg.Machine != nil {
 		topo = cfg.Machine.Topology
