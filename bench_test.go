@@ -283,27 +283,47 @@ END
 	}
 }
 
-// BenchmarkSampleAll: the steady-state sampling hot path — four metrics
-// enabled on the whole program of a four-node session, sampled at
-// advancing instants after the run completes. This is the allocation
-// gate for the columnar engine: sampling reuses its batch buffer and
-// reads columnar rows in place, so the loop must measure 0 allocs/op;
-// benchdiff's allocs gate fails the build if any allocation creeps
-// back in.
-func BenchmarkSampleAll(b *testing.B) {
+// sampleAllSession is the steady-state sampling fixture: four metrics
+// enabled on the whole program of a four-node Figure 9 session, run to
+// completion.
+func sampleAllSession(tb testing.TB) *Session {
+	tb.Helper()
 	s, err := NewSession(fig9Workload, WithNodes(4))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ids := []string{"summations", "summation_time", "point_to_point_ops", "idle_time"}
 	for _, id := range ids {
 		if _, err := s.Tool.EnableMetric(id, paradyn.WholeProgram()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s
+}
+
+// TestSampleAllAllocFree pins the sampling hot path at zero
+// allocations: SampleAll reuses its batch buffer, reads columnar rows
+// in place, and its SendBatch/DrainBatch round trip swaps the daemon
+// channel's two arrays.
+func TestSampleAllAllocFree(t *testing.T) {
+	s := sampleAllSession(t)
+	now := s.Now()
+	if n := testing.AllocsPerRun(200, func() {
+		now++
+		s.Tool.SampleAll(now)
+	}); n != 0 {
+		t.Fatalf("SampleAll allocates %v per round, want 0", n)
+	}
+}
+
+// BenchmarkSampleAll times the loop TestSampleAllAllocFree pins at 0
+// allocs/op: one sampling round at advancing instants after the run
+// completes.
+func BenchmarkSampleAll(b *testing.B) {
+	s := sampleAllSession(b)
 	now := s.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -317,8 +337,8 @@ func BenchmarkSampleAll(b *testing.B) {
 // Figure 9 workload with a representative metric set. The obs=off
 // sub-benchmark is the perturbation gate: the disabled plane is all
 // nil-receiver checks, so enabling the feature in the codebase must not
-// slow an unobserved session (bench-obs holds it within 2%). obs=on
-// shows the full span-recording price for comparison.
+// slow an unobserved session. obs=on shows the full span-recording
+// price for comparison.
 func BenchmarkObsOverhead(b *testing.B) {
 	ids := []string{"summations", "summation_time", "point_to_point_ops", "idle_time"}
 	for _, obsOn := range []bool{false, true} {

@@ -14,13 +14,8 @@
 // Usage:
 //
 //	nvload -smoke                      # CI: 50 mixed sessions + drain contract
-//	nvload -sessions 400 -concurrency 32 -bench   # benchdiff-format ledger lines
+//	nvload -sessions 400 -concurrency 32
 //	nvload -addr host:9091 -sessions 1000
-//
-// -bench output is `go test -bench` shaped so it pipes straight into
-// the existing benchdiff tooling:
-//
-//	nvload -sessions 400 -bench | benchdiff -out BENCH_PR7.json -check LoadSession
 //
 // Exit status 0 means every session satisfied the client contract:
 // each ended in a done event, a cut-with-report, or a typed rejection —
@@ -72,7 +67,6 @@ func main() {
 		maxBackoff  = flag.Duration("max-backoff", 2*time.Second, "backoff ceiling between retries")
 		deadlineMS  = flag.Int64("deadline-ms", 20000, "per-session run deadline sent to the daemon")
 		smoke       = flag.Bool("smoke", false, "CI smoke: 50 mixed sessions on a tiny pool, then drain and verify the cut contract")
-		benchOut    = flag.Bool("bench", false, "emit the ledger as go-test benchmark lines for benchdiff")
 	)
 	flag.Parse()
 	if *sessions <= 0 || *concurrency <= 0 || *retries < 0 || *timeout <= 0 {
@@ -175,7 +169,7 @@ func main() {
 		shutdown()
 	}
 
-	tally.print(os.Stdout, elapsed, *benchOut)
+	tally.print(os.Stdout, elapsed)
 	if daemon != nil {
 		c := daemon.Counters()
 		fmt.Printf("nvload: daemon counters: admitted %d, completed %d, cut %d, shed %d, rejected busy %d / quota %d / draining %d, panics %d\n",
@@ -233,7 +227,7 @@ func (t *tally) add(o outcome) {
 	}
 }
 
-func (t *tally) print(w *os.File, elapsed time.Duration, bench bool) {
+func (t *tally) print(w *os.File, elapsed time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	total := 0
@@ -254,25 +248,6 @@ func (t *tally) print(w *os.File, elapsed time.Duration, bench bool) {
 	fmt.Fprintf(w, "; shed %d, retries %d, p95 first-answer %v\n", t.shed, t.retries, p95.Round(time.Microsecond))
 	for _, e := range t.firstErrors {
 		fmt.Fprintf(w, "nvload: violation: %s\n", e)
-	}
-	if bench {
-		// benchdiff-shaped ledger lines. LoadSession is wall time per
-		// answered session (the throughput headline, inverted);
-		// LoadAnswerP95 is the p95 first-answer latency; the *Count
-		// lines record the shed/reject/cut mix for the committed ledger
-		// (recorded, not gated — counts are workload-shaped, not
-		// performance-shaped).
-		answered := t.counts["done"] + t.counts["cut"]
-		if answered > 0 {
-			fmt.Fprintf(w, "BenchmarkLoadSession\t%d\t%d ns/op\n", answered, elapsed.Nanoseconds()/int64(answered))
-		}
-		if p95 > 0 {
-			fmt.Fprintf(w, "BenchmarkLoadAnswerP95\t1\t%d ns/op\n", p95.Nanoseconds())
-		}
-		fmt.Fprintf(w, "BenchmarkLoadShedCount\t1\t%d ns/op\n", t.shed)
-		fmt.Fprintf(w, "BenchmarkLoadRejectCount\t1\t%d ns/op\n", t.counts["rejected"])
-		fmt.Fprintf(w, "BenchmarkLoadRetryCount\t1\t%d ns/op\n", t.retries)
-		fmt.Fprintf(w, "BenchmarkLoadCutCount\t1\t%d ns/op\n", t.counts["cut"])
 	}
 }
 

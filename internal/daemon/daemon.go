@@ -23,7 +23,6 @@ import (
 	"nvmap/internal/fault"
 	"nvmap/internal/obs"
 	"nvmap/internal/pif"
-	"nvmap/internal/ring"
 	"nvmap/internal/vtime"
 )
 
@@ -135,6 +134,10 @@ type Stats struct {
 // ack/retry protocol. A delivery function returning an error is the nack
 // path for the in-flight batch: the failed message and everything behind
 // it stay queued, in order.
+//
+// There is one queue and one path through it: every send appends under
+// the queue lock, every drain takes the whole backlog, and Stats and
+// Pending are exact at every read.
 type Channel struct {
 	mu    sync.Mutex
 	queue []Message
@@ -154,10 +157,9 @@ type Channel struct {
 	// stats.MaxQueue stays the run-wide high water.
 	probeHW int
 	// qdepth mirrors len(queue)+len(retry), refreshed by syncDepthLocked
-	// at the end of every critical section that changes either. Pending
-	// reads it lock-free for its empty fast path: the event pump polls
-	// for backlog after every machine event, and on an idle channel that
-	// poll was the queue lock's busiest customer.
+	// at the end of every critical section that changes either, so
+	// Pending is one atomic load: the event pump polls for backlog after
+	// every machine event and must not contend for the queue lock.
 	qdepth atomic.Int64
 
 	// drainMu serialises drains so two concurrent drains cannot
@@ -170,29 +172,12 @@ type Channel struct {
 	obsT      *obs.Tracer
 	occupancy *obs.VHist
 
-	// ring is the lock-free SPSC fast path (EnableSPSC): when the
-	// channel is unbounded, untapped and unobserved, the producer
-	// pushes messages straight into the ring and drains pull them out,
-	// with no lock on either side. The mutex queue remains the wrapper
-	// that owns every other semantic — bounded capacity, overflow
-	// policies, parked retries, message taps — and the ring disables
-	// itself (flushing in order) the moment any of those engage.
-	ring *ring.SPSC[Message]
-	// ringOK gates the producer fast path; recomputed under both locks
-	// whenever an eligibility input changes.
-	ringOK atomic.Bool
-	// spilled marks that a full ring overflowed into the mutex queue;
-	// while set, the producer keeps appending to the queue so drain
-	// order (retries, then ring, then queue) stays chronological. Drains
-	// clear it once the queue is empty again.
-	spilled atomic.Bool
-	// ringBatches counts SendBatch calls absorbed whole by the ring;
-	// Stats() folds it into Batches.
-	ringBatches atomic.Int64
-	// drainBuf is the reusable gather buffer drains assemble deliveries
-	// in (guarded by drainMu), so a steady sample/drain cycle allocates
-	// nothing.
-	drainBuf []Message
+	// spare is the backing array of the previous drain's batch, cleared
+	// after delivery. A drain takes the queue's array as its batch and
+	// hands the queue this one, so a steady send/drain cycle reuses two
+	// arrays and allocates nothing. Guarded by drainMu; nil while a
+	// batch is in flight.
+	spare []Message
 }
 
 // NewChannel returns an empty, unbounded channel.
@@ -200,63 +185,9 @@ func NewChannel() *Channel {
 	return &Channel{stats: Stats{ByKind: make(map[Kind]int), DroppedByKind: make(map[Kind]int)}}
 }
 
-// EnableSPSC arms the lock-free single-producer/single-consumer fast
-// path with a ring of at least capacity messages. It is an opt-in for
-// callers whose sends all happen on one goroutine and whose drains all
-// happen on one goroutine (the tool's driving goroutine is both): while
-// the channel stays unbounded, untapped and unobserved, messages travel
-// the ring without taking a lock, and overflow spills to the mutex
-// queue in order. Bounding the channel (SetLimit), registering a
-// message tap (OnMessage) or attaching the observability plane (SetObs)
-// flushes the ring and reverts to the mutex path, so every fault and
-// recovery semantic is exactly the wrapped channel's.
-//
-// Statistics for ring-carried messages (Sent, per-kind counts, queue
-// depth) are folded in when a drain collects them, so a Stats() read
-// between a send and its drain may lag; totals after any drain agree
-// with the mutex path exactly.
-func (c *Channel) EnableSPSC(capacity int) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		c.ring = ring.New[Message](capacity)
-	}
-	c.syncRingLocked()
-}
-
-// syncRingLocked recomputes fast-path eligibility after a configuration
-// change and, when the ring is being retired, flushes its content to
-// the front of the mutex queue (ring messages predate anything spilled
-// behind them). Callers hold drainMu and mu.
-func (c *Channel) syncRingLocked() {
-	ok := c.ring != nil && c.capacity == 0 && c.onMsg == nil && c.obsT == nil
-	if !ok && c.ringOK.Load() {
-		if n := c.ring.Len(); n > 0 {
-			flushed := c.ring.DrainInto(make([]Message, 0, n))
-			c.accountRingLocked(flushed)
-			c.queue = append(flushed, c.queue...)
-			c.syncDepthLocked()
-		}
-	}
-	c.ringOK.Store(ok)
-}
-
-// accountRingLocked records send-side statistics for messages that
-// travelled the ring, deferred to the moment they leave it.
-func (c *Channel) accountRingLocked(ms []Message) {
-	c.stats.Sent += len(ms)
-	for i := range ms {
-		c.stats.ByKind[ms[i].Kind]++
-	}
-}
-
 // SetLimit bounds the queue depth. capacity <= 0 restores the unbounded
 // default regardless of policy.
 func (c *Channel) SetLimit(capacity int, policy fault.OverflowPolicy) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if capacity <= 0 {
@@ -264,7 +195,6 @@ func (c *Channel) SetLimit(capacity int, policy fault.OverflowPolicy) {
 	} else {
 		c.capacity, c.policy = capacity, policy
 	}
-	c.syncRingLocked()
 }
 
 // OnDrop registers an observer for every message lost to overflow (the
@@ -288,12 +218,9 @@ func (c *Channel) OnBackpressure(fn func()) {
 // channel, before any overflow decision (the supervisor's definition
 // ledger feeds from it). The tap must not call Send.
 func (c *Channel) OnMessage(fn func(Message)) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onMsg = fn
-	c.syncRingLocked()
 }
 
 // Send enqueues a message. Mapping information and performance data
@@ -301,14 +228,6 @@ func (c *Channel) OnMessage(fn func(Message)) {
 // on so the data manager sees definitions before the samples that use
 // them.
 func (c *Channel) Send(m Message) {
-	if c.ringOK.Load() && !c.spilled.Load() {
-		if c.ring.Push(m) {
-			return
-		}
-		// Ring full: spill to the mutex queue and stay there until a
-		// drain empties it, so delivery order holds.
-		c.spilled.Store(true)
-	}
 	if c.obsT != nil {
 		ref := c.obsT.Begin(obs.StageDaemonSend, m.Kind.String(), obs.NodeCP, m.At)
 		defer c.obsT.End(ref, m.At)
@@ -335,6 +254,7 @@ func (c *Channel) Send(m Message) {
 		switch c.policy {
 		case fault.DropOldest:
 			evicted := c.queue[0]
+			c.queue[0] = Message{} // the array outlives the drain; do not retain
 			c.queue = c.queue[1:]
 			dropped = c.overflowLocked(evicted)
 		case fault.DropNewest:
@@ -371,15 +291,6 @@ func (c *Channel) Send(m Message) {
 func (c *Channel) SendBatch(ms []Message) {
 	if len(ms) == 0 {
 		return
-	}
-	if c.ringOK.Load() && !c.spilled.Load() {
-		n := c.ring.PushSlice(ms)
-		if n == len(ms) {
-			c.ringBatches.Add(1)
-			return
-		}
-		c.spilled.Store(true)
-		ms = ms[n:] // remainder takes the mutex path, behind the ring
 	}
 	if c.obsT != nil {
 		from, to := spanBounds(ms)
@@ -431,33 +342,9 @@ func (c *Channel) overflowLocked(m Message) *Message {
 	return &m
 }
 
-// Pending returns the queue depth, counting parked retries and any
-// messages still in the SPSC ring. An empty channel answers without
-// taking the queue lock.
-func (c *Channel) Pending() int {
-	n := 0
-	if c.ring != nil {
-		n = c.ring.Len()
-	}
-	if c.qdepth.Load() == 0 {
-		return n
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return n + len(c.queue) + len(c.retry)
-}
-
-// RingStats reports the SPSC fast path: messages currently in the
-// ring, the deepest the ring has been, and its capacity. All zeros
-// when EnableSPSC was never called.
-func (c *Channel) RingStats() (occupancy, highWater, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		return 0, 0, 0
-	}
-	return c.ring.Len(), c.ring.HighWater(), c.ring.Cap()
-}
+// Pending returns the queue depth, counting parked retries. It takes no
+// lock (see qdepth).
+func (c *Channel) Pending() int { return int(c.qdepth.Load()) }
 
 // HighWaterSince returns the deepest the queue has been since the
 // previous HighWaterSince call (at least the current depth) and resets
@@ -467,77 +354,61 @@ func (c *Channel) RingStats() (occupancy, highWater, capacity int) {
 // interval high water captures them — and recovers when shedding
 // actually relieves the pressure. Stats.MaxQueue is unaffected.
 func (c *Channel) HighWaterSince() int {
-	inRing := 0
-	if c.ring != nil {
-		inRing = c.ring.Len()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hw := c.probeHW
-	if n := inRing + len(c.queue) + len(c.retry); n > hw {
+	if n := len(c.queue) + len(c.retry); n > hw {
 		hw = n
 	}
 	c.probeHW = 0
 	return hw
 }
 
-// gatherLocked collects everything deliverable into c.drainBuf in
-// chronological order — parked retries, then the ring's content, then
-// the mutex queue (anything in the queue was spilled or sent after the
-// ring content ahead of it). Ring messages have their send-side stats
-// folded in here, and the backlog depth feeds MaxQueue and the probe
-// high water, matching what per-send bookkeeping would have recorded at
-// its deepest. Callers hold drainMu; gatherLocked takes mu itself.
-func (c *Channel) gatherLocked() []Message {
+// takeBatch removes everything deliverable from the channel, in order:
+// parked retries, then the queue. With nothing parked the queue's own
+// array is the batch and the queue continues in the spare array, so
+// sends made during delivery never touch the batch; parked retries are
+// the one case that copies. The backlog depth feeds MaxQueue and the
+// probe high water. Callers hold drainMu and pass a non-empty batch to
+// finishLocked when delivery ends.
+func (c *Channel) takeBatch() []Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf := c.drainBuf[:0]
-	buf = append(buf, c.retry...)
-	if c.ring != nil {
-		mark := len(buf)
-		buf = c.ring.DrainInto(buf)
-		c.accountRingLocked(buf[mark:])
+	n := len(c.retry) + len(c.queue)
+	if n == 0 {
+		return nil
 	}
-	buf = append(buf, c.queue...)
-	if len(buf) > c.stats.MaxQueue {
-		c.stats.MaxQueue = len(buf)
+	if n > c.stats.MaxQueue {
+		c.stats.MaxQueue = n
 	}
-	if len(buf) > c.probeHW {
-		c.probeHW = len(buf)
+	if n > c.probeHW {
+		c.probeHW = n
 	}
-	c.retry = nil
-	c.queue = nil
-	c.syncDepthLocked()
-	c.drainBuf = buf
-	return buf
-}
-
-// requeueLocked puts an undelivered suffix of a gathered batch back at
-// the head of the line. With the ring active it parks in retry (always
-// drained first, ahead of whatever the producer pushed meanwhile);
-// otherwise it prepends to the queue, the historical nack behaviour.
-// Callers hold drainMu.
-func (c *Channel) requeueLocked(pending []Message) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ringOK.Load() {
-		c.retry = append(append([]Message(nil), pending...), c.retry...)
+	var batch []Message
+	if len(c.retry) == 0 {
+		batch, c.queue = c.queue, c.spare[:0]
 	} else {
-		c.queue = append(append([]Message(nil), pending...), c.queue...)
+		batch = append(append(c.spare[:0], c.retry...), c.queue...)
+		clear(c.queue)
+		c.queue, c.retry = c.queue[:0], nil
 	}
+	c.spare = nil
 	c.syncDepthLocked()
+	return batch
 }
 
-// settleLocked finishes a fully delivered drain: once nothing is parked
-// or queued, the producer may resume the ring fast path. Callers hold
-// drainMu.
-func (c *Channel) settleLocked(delivered int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// finishLocked ends a drain that delivered batch[:delivered]: the rest
+// goes back to the head of the queue, ahead of anything sent meanwhile,
+// and the batch's array, cleared so it retains no delivered record,
+// becomes the spare. Callers hold drainMu and mu.
+func (c *Channel) finishLocked(batch []Message, delivered int) {
 	c.stats.Delivered += delivered
-	if len(c.queue) == 0 && len(c.retry) == 0 {
-		c.spilled.Store(false)
+	if rest := batch[delivered:]; len(rest) > 0 {
+		c.queue = append(append([]Message(nil), rest...), c.queue...)
+		c.syncDepthLocked()
 	}
+	clear(batch)
+	c.spare = batch[:0]
 }
 
 // Drain delivers every queued message, in order, to fn — parked mapping
@@ -549,23 +420,26 @@ func (c *Channel) Drain(fn func(Message) error) (int, error) {
 	c.drainMu.Lock()
 	defer c.drainMu.Unlock()
 
-	pending := c.gatherLocked()
-	if c.obsT != nil && len(pending) > 0 {
+	pending := c.takeBatch()
+	if len(pending) == 0 {
+		return 0, nil
+	}
+	if c.obsT != nil {
 		from, to := spanBounds(pending)
 		ref := c.obsT.Begin(obs.StageDaemonDrain, "", obs.NodeCP, from)
 		defer c.obsT.End(ref, to)
 	}
-	for i, m := range pending {
-		if err := fn(m); err != nil {
-			c.requeueLocked(pending[i:])
-			c.mu.Lock()
-			c.stats.Delivered += i
-			c.mu.Unlock()
-			return i, err
+	var err error
+	delivered := 0
+	for ; delivered < len(pending); delivered++ {
+		if err = fn(pending[delivered]); err != nil {
+			break
 		}
 	}
-	c.settleLocked(len(pending))
-	return len(pending), nil
+	c.mu.Lock()
+	c.finishLocked(pending, delivered)
+	c.mu.Unlock()
+	return delivered, err
 }
 
 // DrainBatch delivers everything pending — parked retries first, then
@@ -577,7 +451,7 @@ func (c *Channel) DrainBatch(fn func([]Message) error) (int, error) {
 	c.drainMu.Lock()
 	defer c.drainMu.Unlock()
 
-	pending := c.gatherLocked()
+	pending := c.takeBatch()
 	if len(pending) == 0 {
 		return 0, nil
 	}
@@ -587,25 +461,23 @@ func (c *Channel) DrainBatch(fn func([]Message) error) (int, error) {
 		defer c.obsT.End(ref, to)
 		c.occupancy.Observe(to, float64(len(pending)))
 	}
-	if err := fn(pending); err != nil {
-		c.requeueLocked(pending)
+	err := fn(pending)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.finishLocked(pending, 0)
 		return 0, err
 	}
-	c.settleLocked(len(pending))
-	c.mu.Lock()
 	c.stats.BatchesFlushed++
-	c.mu.Unlock()
+	c.finishLocked(pending, len(pending))
 	return len(pending), nil
 }
 
-// Stats returns a copy of the traffic statistics. Messages still inside
-// the SPSC ring are not yet counted (see EnableSPSC); any drain folds
-// them in.
+// Stats returns a copy of the traffic statistics, exact at every read.
 func (c *Channel) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.stats
-	out.Batches += int(c.ringBatches.Load())
 	out.ByKind = make(map[Kind]int, len(c.stats.ByKind))
 	for k, v := range c.stats.ByKind {
 		out.ByKind[k] = v

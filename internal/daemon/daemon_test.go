@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nvmap/internal/fault"
 	"nvmap/internal/pif"
 )
 
@@ -162,6 +163,93 @@ func TestChannelConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The channel contract: one queue whose array a drain swaps with the
+// previous batch's. A warmed send/drain cycle therefore allocates
+// nothing, delivery order survives parked retries and a nack with a
+// re-entrant send, and neither array keeps a delivered record alive.
+func TestDrainSwapIsAllocFreeAndOrdered(t *testing.T) {
+	nop := func(Message) error { return nil }
+	nopBatch := func([]Message) error { return nil }
+	msgs := make([]Message, 16)
+	for i := range msgs {
+		msgs[i] = sampleMsg(i)
+	}
+	msgs[0] = nounMsg("A")
+	msgs[1] = Message{Kind: KindMappingDef, Mapping: &pif.MappingRecord{}, Attrs: map[string]string{"k": "v"}}
+
+	c := NewChannel()
+	cycle := func() {
+		for _, m := range msgs {
+			c.Send(m)
+		}
+		_, _ = c.Drain(nop)
+	}
+	batchCycle := func() {
+		c.SendBatch(msgs)
+		_, _ = c.DrainBatch(nopBatch)
+	}
+	cycle()
+	cycle() // both arrays now sized
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("16 x Send + Drain allocates %v per cycle, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, batchCycle); n != 0 {
+		t.Errorf("SendBatch + DrainBatch allocates %v per cycle, want 0", n)
+	}
+
+	retained := func(when string) {
+		t.Helper()
+		for _, arr := range [][]Message{c.spare[:cap(c.spare)], c.queue[len(c.queue):cap(c.queue)]} {
+			for i, m := range arr {
+				if m.Noun != nil || m.Mapping != nil || m.Attrs != nil {
+					t.Fatalf("%s: slot %d still holds a delivered record: %+v", when, i, m)
+				}
+			}
+		}
+	}
+	retained("after swap drains")
+
+	// A nack at m1 with a send made from inside the delivery: the
+	// undelivered tail goes back ahead of the re-entrant message.
+	for i := 0; i < 3; i++ {
+		c.Send(sampleMsg(i))
+	}
+	n, err := c.Drain(func(m Message) error {
+		if m.Sample.MetricID == "m1" {
+			c.Send(nounMsg("late"))
+			return fmt.Errorf("daemon busy")
+		}
+		return nil
+	})
+	if err == nil || n != 1 || c.Pending() != 3 {
+		t.Fatalf("nacked drain = %d, %v, pending %d", n, err, c.Pending())
+	}
+	got := drainAll(t, c)
+	if len(got) != 3 || got[0].Sample.MetricID != "m1" || got[1].Sample.MetricID != "m2" || got[2].Kind != KindNounDef {
+		t.Fatalf("after nack + re-entrant send: %+v", got)
+	}
+	retained("after nack")
+
+	// Parked retries are delivered ahead of the queue (the copying
+	// case), and the next cycle is back on the swap.
+	c.SetLimit(2, fault.DropOldest)
+	c.Send(nounMsg("B"))
+	c.Send(nounMsg("C"))
+	c.Send(sampleMsg(1))
+	c.Send(sampleMsg(2)) // B and C are now parked, the samples queued
+	got = drainAll(t, c)
+	if len(got) != 4 || got[0].Noun.Name != "B" || got[1].Noun.Name != "C" ||
+		got[2].Sample.MetricID != "m1" || got[3].Sample.MetricID != "m2" {
+		t.Fatalf("parked retries out of order: %+v", got)
+	}
+	retained("after parked retries")
+	c.SetLimit(0, fault.Unbounded)
+	cycle()
+	if st := c.Stats(); st.Sent != st.Delivered || c.Pending() != 0 {
+		t.Fatalf("conservation: %+v pending %d", st, c.Pending())
 	}
 }
 

@@ -19,20 +19,17 @@ func (c *Channel) SetObs(p *obs.Plane) {
 	if p == nil {
 		return
 	}
-	c.drainMu.Lock()
 	c.mu.Lock()
 	c.obsT = p.Tracer
 	c.occupancy = p.Metrics.Histogram("nvmap_daemon_batch_occupancy",
 		"Messages delivered per DrainBatch flush, over virtual time.", 0)
-	c.syncRingLocked()
 	c.mu.Unlock()
-	c.drainMu.Unlock()
 	c.RegisterMetrics(p.Metrics)
 }
 
 // RegisterMetrics registers the channel's traffic statistics on a
-// metrics registry as pull-model collectors. The old Stats() accessor
-// remains the source of truth; the registry reads it at snapshot time.
+// metrics registry as pull-model collectors that read Stats() at
+// snapshot time.
 func (c *Channel) RegisterMetrics(r *obs.Registry) {
 	reg := func(name, help string, kind obs.Kind, read func(Stats) float64) {
 		r.Func(name, help, kind, false, func() float64 { return read(c.Stats()) })
@@ -55,14 +52,6 @@ func (c *Channel) RegisterMetrics(r *obs.Registry) {
 		obs.KindGauge, func(s Stats) float64 { return float64(s.MaxQueue) })
 	r.Func("nvmap_daemon_pending", "Messages currently queued (including parked retries).",
 		obs.KindGauge, false, func() float64 { return float64(c.Pending()) })
-	// Ring occupancy and high water depend on producer/consumer
-	// interleaving, so they are unstable; capacity is configuration.
-	r.Func("nvmap_daemon_ring_occupancy", "Messages currently in the lock-free SPSC fast path.",
-		obs.KindGauge, true, func() float64 { n, _, _ := c.RingStats(); return float64(n) })
-	r.Func("nvmap_daemon_ring_highwater", "Deepest the SPSC ring has been.",
-		obs.KindGauge, true, func() float64 { _, hw, _ := c.RingStats(); return float64(hw) })
-	r.Func("nvmap_daemon_ring_capacity", "SPSC ring capacity (0 when the ring is disabled).",
-		obs.KindGauge, false, func() float64 { _, _, cp := c.RingStats(); return float64(cp) })
 	for _, k := range []Kind{KindSample, KindNounDef, KindVerbDef, KindMappingDef, KindRemoval} {
 		k := k
 		reg("nvmap_daemon_sent_total{kind=\""+k.String()+"\"}",

@@ -151,7 +151,9 @@ func TestNackKeepsOrder(t *testing.T) {
 
 // The channel is the one concurrency boundary between the
 // instrumentation library and the data manager; hammer it from both
-// sides under -race.
+// sides under -race — single and batched sends against plain, batched
+// and nacking drains, so the array swap, the parked-retry copy and the
+// requeue all run while senders append.
 func TestChannelConcurrentSendDrain(t *testing.T) {
 	c := NewChannel()
 	c.SetLimit(8, fault.DropOldest)
@@ -161,13 +163,17 @@ func TestChannelConcurrentSendDrain(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if i%10 == 0 {
+				switch {
+				case i%10 == 0:
 					c.Send(nounMsg(fmt.Sprintf("g%d-%d", g, i)))
-				} else {
+				case i%10 == 5:
+					c.SendBatch([]Message{sampleMsg(i), sampleMsg(i)})
+				default:
 					c.Send(sampleMsg(i))
 				}
 				if i%17 == 0 {
 					_ = c.Pending()
+					_ = c.HighWaterSince()
 					_ = c.Stats()
 				}
 			}
@@ -177,17 +183,30 @@ func TestChannelConcurrentSendDrain(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			_, _ = c.Drain(func(Message) error { return nil })
+			switch i % 3 {
+			case 0:
+				_, _ = c.Drain(func(Message) error { return nil })
+			case 1:
+				_, _ = c.DrainBatch(func([]Message) error { return nil })
+			default:
+				seen := 0
+				_, _ = c.Drain(func(Message) error {
+					if seen++; seen > 2 {
+						return fmt.Errorf("daemon busy")
+					}
+					return nil
+				})
+			}
 		}
 	}()
 	wg.Wait()
 	<-done
 	_, _ = c.Drain(func(Message) error { return nil })
 	st := c.Stats()
-	if st.Sent != st.Delivered+st.Dropped {
+	if st.Sent != 4*220 || st.Sent != st.Delivered+st.Dropped || c.Pending() != 0 {
 		// Retried messages are eventually delivered, so they appear in
 		// both Sent and Delivered exactly once.
-		t.Fatalf("conservation violated: %+v", st)
+		t.Fatalf("conservation violated: %+v pending %d", st, c.Pending())
 	}
 }
 

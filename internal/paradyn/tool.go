@@ -36,13 +36,6 @@ const (
 	VerbBlockExec nv.VerbID = "BlockExecutes"
 )
 
-// ringCapacity sizes the daemon channel's SPSC ring. At 128 bytes per
-// message the ring is an 8KB allocation zeroed on every session start,
-// so it is kept just big enough for a typical eagerly-drained sampling
-// round; a wider round spills to the mutex queue, which is correct,
-// merely slower.
-const ringCapacity = 64
-
 // Hierarchy names the tool maintains.
 const (
 	HierMachine = "Machine"
@@ -273,12 +266,6 @@ func New(rt *cmrts.Runtime, lib *mdl.Library, opts Options) (*Tool, error) {
 	// Under the Backpressure policy a full channel stalls the sender
 	// while the data manager drains — the lossless option.
 	t.channel.OnBackpressure(t.drainChannel)
-	// The tool's traffic is single-producer/single-consumer: the
-	// instrumentation library emits and the data manager drains on the
-	// driving goroutine. Arm the lock-free fast path; it stands down by
-	// itself if a fault plan bounds the channel, the supervisor taps it,
-	// or the observability plane attaches.
-	t.channel.EnableSPSC(ringCapacity)
 	t.buildBaseHierarchies()
 	t.mach.Observe(t.machineEvent)
 	return t, nil

@@ -308,10 +308,6 @@ func newQuestionState(id QuestionID, q Question, cq *compiledQuestion) *question
 // (snapshots, ordered questions) pay for dozens of locks.
 const numShards = 8
 
-// smallShard is the row count at which a shard builds its handle map;
-// below it, linear scan of the handle column beats map hashing.
-const smallShard = 8
-
 // shard is one struct-of-arrays column group of the active set. The
 // columns are parallel — row i of every column describes the same active
 // sentence — and dense: insert appends to each column, remove swap-moves
@@ -332,10 +328,6 @@ type shard struct {
 	depth   []int32
 	origin  []*ReliableLink
 
-	// byH maps a sentence handle to its row index; nil until the shard
-	// outgrows smallShard. Swap-removes keep it in step.
-	byH map[nv.SentenceHandle]int32
-
 	// notif and stored count the notifications applied through this
 	// shard; compact counts swap-remove backfills. All are plain ints
 	// mutated under mu in write mode and read under mu in read mode
@@ -350,15 +342,10 @@ type shard struct {
 // write) is held.
 func (sh *shard) rows() int { return len(sh.handles) }
 
-// find returns the row index of an interned sentence handle, or -1.
-// The shard lock (or structMu write) is held.
+// find returns the row index of an interned sentence handle, or -1, by
+// scanning the dense handle column (shards hold a row or two). The
+// shard lock (or structMu write) is held.
 func (sh *shard) find(h nv.SentenceHandle) int {
-	if sh.byH != nil {
-		if i, ok := sh.byH[h]; ok {
-			return int(i)
-		}
-		return -1
-	}
 	for i, x := range sh.handles {
 		if x == h {
 			return i
@@ -371,21 +358,12 @@ func (sh *shard) find(h nv.SentenceHandle) int {
 // shard lock (or structMu write) is held.
 func (sh *shard) insert(sn *nv.Sentence, since vtime.Time, depth int32, origin *ReliableLink) int {
 	i := len(sh.handles)
-	h := nv.HandleOf(sn)
-	sh.handles = append(sh.handles, h)
+	sh.handles = append(sh.handles, nv.HandleOf(sn))
 	sh.verbs = append(sh.verbs, nv.VerbHandleOf(sn))
 	sh.sents = append(sh.sents, sn)
 	sh.since = append(sh.since, since)
 	sh.depth = append(sh.depth, depth)
 	sh.origin = append(sh.origin, origin)
-	if sh.byH != nil {
-		sh.byH[h] = int32(i)
-	} else if len(sh.handles) > smallShard {
-		sh.byH = make(map[nv.SentenceHandle]int32, 2*smallShard)
-		for j, x := range sh.handles {
-			sh.byH[x] = int32(j)
-		}
-	}
 	return i
 }
 
@@ -393,7 +371,6 @@ func (sh *shard) insert(sn *nv.Sentence, since vtime.Time, depth int32, origin *
 // locking as insert. Pointer column slots of the vacated row are nilled
 // so the collector does not see dead sentences through retained capacity.
 func (sh *shard) removeAt(i int) {
-	h := sh.handles[i]
 	last := len(sh.handles) - 1
 	if i != last {
 		sh.handles[i] = sh.handles[last]
@@ -402,9 +379,6 @@ func (sh *shard) removeAt(i int) {
 		sh.since[i] = sh.since[last]
 		sh.depth[i] = sh.depth[last]
 		sh.origin[i] = sh.origin[last]
-		if sh.byH != nil {
-			sh.byH[sh.handles[i]] = int32(i)
-		}
 		sh.compact++
 	}
 	sh.handles = sh.handles[:last]
@@ -415,9 +389,6 @@ func (sh *shard) removeAt(i int) {
 	sh.depth = sh.depth[:last]
 	sh.origin[last] = nil
 	sh.origin = sh.origin[:last]
-	if sh.byH != nil {
-		delete(sh.byH, h)
-	}
 }
 
 // countMatches batch-sweeps the shard for rows matching ct and returns
@@ -526,10 +497,10 @@ func New(opts Options) *SAS {
 }
 
 // initRows is the starting per-shard column capacity carved at
-// construction. Kept below smallShard: most shards hold a row or two,
-// and the slabs are zeroed on every SAS construction, so over-carving
-// is a real startup cost; a shard that outgrows its window just
-// reallocates with ordinary append growth.
+// construction. Kept small: most shards hold a row or two, and the
+// slabs are zeroed on every SAS construction, so over-carving is a real
+// startup cost; a shard that outgrows its window just reallocates with
+// ordinary append growth.
 const initRows = 4
 
 // columnBuf is the embedded backing store for the initial shard column

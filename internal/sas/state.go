@@ -150,7 +150,6 @@ func (s *SAS) ExportState() State {
 func (s *SAS) clearShards() {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.byH = nil
 		sh.notif = 0
 		sh.stored = 0
 		sh.compact = 0
