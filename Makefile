@@ -1,4 +1,4 @@
-.PHONY: build test race bench soak soak-smoke serve-smoke diagnose-smoke
+.PHONY: build test race bench pprof-events soak soak-smoke serve-smoke diagnose-smoke
 
 build:
 	go build ./...
@@ -17,6 +17,19 @@ race:
 # of its per-layer rows.
 bench:
 	bash benchmark/run.sh
+
+# Where the events_hot workload spends its time and its allocations:
+# BenchmarkEventsHot is that workload's op rebuilt in the root package
+# (the benchmark itself is frozen between [benchmark] PRs), profiled for
+# CPU and allocations. Binary and profiles land in the git-ignored
+# .bench_build/.
+pprof-events:
+	mkdir -p .bench_build
+	go test -run '^$$' -bench BenchmarkEventsHot -benchtime 100x \
+		-o .bench_build/nvmap.test -outputdir .bench_build \
+		-cpuprofile events_hot.cpu.pprof -memprofile events_hot.mem.pprof .
+	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/events_hot.cpu.pprof
+	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/events_hot.mem.pprof
 
 # Chaos soak: randomized composed-fault sessions under the race
 # detector, asserting the robustness contract (no process death, every

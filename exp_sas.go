@@ -86,6 +86,10 @@ type Monitor struct {
 	// fire on every message, and rendering the noun name with Sprintf
 	// each time was a measurable slice of the Figure 6 run.
 	sendSents []nv.Sentence
+	// linkSents holds {link Routes} per interconnect link, under both
+	// directions of the link (the noun is undirected), so a routed
+	// message looks its hops up instead of rendering a noun name per hop.
+	linkSents map[machine.Link]nv.Sentence
 	// links holds the reliable cross-node links created with
 	// ExportReliable, in creation order, for the degradation report.
 	links []*sas.ReliableLink
@@ -109,6 +113,7 @@ func wireSAS(s *Session, filter bool) *Monitor {
 		Model:     nv.NewRegistry(),
 		sendStart: make([]vtime.Time, s.Machine.Nodes()),
 		sendSents: make([]nv.Sentence, s.Machine.Nodes()),
+		linkSents: make(map[machine.Link]nv.Sentence),
 	}
 	for n := range w.sendSents {
 		w.sendSents[n] = sendSentence(n)
@@ -206,7 +211,7 @@ func wireSAS(s *Session, filter bool) *Monitor {
 				neighbours = append(neighbours, topo.HWAt(x, 0))
 			}
 			for _, nb := range neighbours {
-				noun := nv.NounID(pifgen.LinkNoun(machine.Link{From: hw, To: nb}))
+				noun := w.linkSentence(machine.Link{From: hw, To: nb}).Nouns[0]
 				if _, ok := w.Model.Noun(noun); !ok {
 					_ = w.Model.AddNoun(nv.Noun{ID: noun, Level: nv.LevelIDHardware})
 				}
@@ -215,11 +220,24 @@ func wireSAS(s *Session, filter bool) *Monitor {
 		s.Machine.OnRoute(func(from, to, bytes int, links []machine.Link, at vtime.Time) {
 			node := w.Reg.Node(from)
 			for _, l := range links {
-				node.RecordEvent(nv.NewSentence(verbRoutes, nv.NounID(pifgen.LinkNoun(l))), at, 1)
+				node.RecordEvent(w.linkSentence(l), at, 1)
 			}
 		})
 	}
 	return w
+}
+
+// linkSentence returns {link Routes} for an interconnect link, resolving
+// it (for both directions) on first sight; wireSAS sees every link of
+// the topology while registering the link nouns.
+func (w *Monitor) linkSentence(l machine.Link) nv.Sentence {
+	sn, ok := w.linkSents[l]
+	if !ok {
+		sn = nv.NewSentence(verbRoutes, nv.NounID(pifgen.LinkNoun(l)))
+		w.linkSents[l] = sn
+		w.linkSents[machine.Link{From: l.To, To: l.From}] = sn
+	}
+	return sn
 }
 
 // blockVocab is the cached sentence set and noun/verb vocabulary a

@@ -126,25 +126,6 @@ func blockOffsets(size, nodes int) []int {
 	return offsets
 }
 
-// transferMatrix computes, for a data redistribution where the element at
-// old flat index i moves to new flat index perm(i), how many elements
-// travel from each source node to each destination node. It is the
-// common engine behind shifts, transposes and sorts.
-func transferMatrix(a *Array, perm func(int) int) [][]int {
-	nodes := len(a.chunks)
-	m := make([][]int, nodes)
-	for i := range m {
-		m[i] = make([]int, nodes)
-	}
-	for src := 0; src < nodes; src++ {
-		for i := a.offsets[src]; i < a.offsets[src+1]; i++ {
-			dst := a.HomeNode(perm(i))
-			m[src][dst]++
-		}
-	}
-	return m
-}
-
 // applyPermutation rewrites the array's data so element old[i] lands at
 // flat index perm(i). perm must be a bijection on [0, Size).
 func applyPermutation(a *Array, perm func(int) int) {

@@ -117,6 +117,13 @@ type Runtime struct {
 	// by tests to validate what the tool measures independently.
 	counts map[string]int
 
+	// xfer is the flat nodes × nodes scratch redistribute and Shift tally
+	// cross-node element counts in (xfer[src*nodes+dst]), kept so a
+	// CSHIFT, transpose or sort does not allocate a matrix each time.
+	// Reuse is safe because one goroutine drives a runtime and neither
+	// routine runs inside the other; transferScratch zeroes it on entry.
+	xfer []int
+
 	// Pre-resolved instrumentation points. The runtime fires points on
 	// every operation whether or not anything is attached, so the PointID
 	// hash was a fixed per-event tax; resolving once at construction (and
@@ -588,19 +595,44 @@ func (rt *Runtime) BroadcastScalar(_ float64, tag string) {
 	})
 }
 
-// redistribute moves data according to perm (a bijection on flat
-// indices), issuing the point-to-point transfers the movement implies and
-// then rewriting the stored values.
-func (rt *Runtime) redistribute(a *Array, perm func(int) int, tag string) {
-	m := transferMatrix(a, perm)
-	for src := 0; src < rt.nodes(); src++ {
-		for dst := 0; dst < rt.nodes(); dst++ {
-			if src == dst || m[src][dst] == 0 {
-				continue
+// transferScratch returns the runtime's transfer-count scratch, zeroed.
+func (rt *Runtime) transferScratch() []int {
+	if n := rt.nodes() * rt.nodes(); len(rt.xfer) != n {
+		rt.xfer = make([]int, n)
+	} else {
+		clear(rt.xfer)
+	}
+	return rt.xfer
+}
+
+// sendTransfers issues one point-to-point message per source/destination
+// pair of distinct nodes that counts says exchanges elements, in
+// (source, destination) order.
+func (rt *Runtime) sendTransfers(counts []int, tag string) {
+	nodes := rt.nodes()
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			if n := counts[src*nodes+dst]; src != dst && n > 0 {
+				rt.send(src, dst, n*elemBytes, tag)
 			}
-			rt.send(src, dst, m[src][dst]*elemBytes, tag)
 		}
 	}
+}
+
+// redistribute moves data according to perm (a bijection on flat
+// indices): it counts how many elements travel from each source node to
+// each destination node, issues the point-to-point transfers that
+// implies, then rewrites the stored values. It is the common engine
+// behind rotations, transposes and sorts.
+func (rt *Runtime) redistribute(a *Array, perm func(int) int, tag string) {
+	nodes := rt.nodes()
+	counts := rt.transferScratch()
+	for src := 0; src < nodes; src++ {
+		for i := a.offsets[src]; i < a.offsets[src+1]; i++ {
+			counts[src*nodes+a.HomeNode(perm(i))]++
+		}
+	}
+	rt.sendTransfers(counts, tag)
 	applyPermutation(a, perm)
 }
 
@@ -637,10 +669,8 @@ func (rt *Runtime) Shift(a *Array, offset int, fill float64, tag string) error {
 	}
 	rt.fireSpan(RoutineShift, tag, []string{string(a.ID)}, func() {
 		// Count cross-node movement of surviving elements.
-		counts := make([][]int, rt.nodes())
-		for i := range counts {
-			counts[i] = make([]int, rt.nodes())
-		}
+		nodes := rt.nodes()
+		counts := rt.transferScratch()
 		old := a.Flat()
 		next := make([]float64, size)
 		for i := range next {
@@ -652,18 +682,9 @@ func (rt *Runtime) Shift(a *Array, offset int, fill float64, tag string) error {
 				continue
 			}
 			next[j] = old[i]
-			src, dst := a.HomeNode(i), a.HomeNode(j)
-			if src != dst {
-				counts[src][dst]++
-			}
+			counts[a.HomeNode(i)*nodes+a.HomeNode(j)]++
 		}
-		for src := 0; src < rt.nodes(); src++ {
-			for dst := 0; dst < rt.nodes(); dst++ {
-				if counts[src][dst] > 0 {
-					rt.send(src, dst, counts[src][dst]*elemBytes, tag)
-				}
-			}
-		}
+		rt.sendTransfers(counts, tag)
 		for i, v := range next {
 			a.setAt(i, v)
 		}

@@ -1,6 +1,7 @@
 package dyninst
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,29 @@ func TestCounter(t *testing.T) {
 	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("Reset failed")
+	}
+}
+
+// A per-node family is independent primitives labelled "name[node]" from
+// the first node up, the control processor's -1 included.
+func TestPerNodePrimitiveFamilies(t *testing.T) {
+	cs := NewCounters("msgs", -1, 3)
+	ts := NewTimers("sendTime", WallTimer, -1, 3)
+	for i, want := range []string{"[-1]", "[0]", "[1]"} {
+		if got := cs[i].Name(); got != "msgs"+want {
+			t.Errorf("counter %d named %q", i, got)
+		}
+		if got := ts[i].Name(); got != "sendTime"+want || ts[i].Kind() != WallTimer {
+			t.Errorf("timer %d named %q, kind %v", i, got, ts[i].Kind())
+		}
+	}
+	cs[1].Add(2)
+	ts[1].Start(10)
+	if cs[0].Value() != 0 || cs[2].Value() != 0 || ts[0].Running() || ts[2].Running() {
+		t.Fatal("a family member's update leaked into its neighbours")
+	}
+	if err := ts[0].Stop(20); err == nil || !strings.Contains(err.Error(), `"sendTime[-1]"`) {
+		t.Fatalf("stop of a stopped family timer: %v", err)
 	}
 }
 

@@ -10,17 +10,43 @@ import (
 // counters and timers; MDL compiles metric descriptions into snippet
 // actions over these primitives (Section 6.3).
 
+// label names a primitive: a plain name, or "base[node]" for one member
+// of a per-node family. The indexed form is rendered on demand, so
+// carving a family formats nothing.
+type label struct {
+	base    string
+	node    int
+	perNode bool
+}
+
+func (l label) String() string {
+	if l.perNode {
+		return fmt.Sprintf("%s[%d]", l.base, l.node)
+	}
+	return l.base
+}
+
 // Counter is the counting primitive.
 type Counter struct {
-	name  string
+	label label
 	value float64
 }
 
 // NewCounter returns a named counter starting at zero.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
+func NewCounter(name string) *Counter { return &Counter{label: label{base: name}} }
+
+// NewCounters returns n zeroed counters carved from one allocation, one
+// per node starting at first; the counter for node k is named "name[k]".
+func NewCounters(name string, first, n int) []Counter {
+	cs := make([]Counter, n)
+	for i := range cs {
+		cs[i].label = label{base: name, node: first + i, perNode: true}
+	}
+	return cs
+}
 
 // Name returns the counter's label.
-func (c *Counter) Name() string { return c.name }
+func (c *Counter) Name() string { return c.label.String() }
 
 // Add increments the counter by v (negative v decrements — MDL uses
 // decrements for gauge-style metrics such as messages in flight).
@@ -60,7 +86,7 @@ func (k TimerKind) String() string {
 // the first Start to the balancing Stop, the way Paradyn timers support
 // recursive functions.
 type Timer struct {
-	name  string
+	label label
 	kind  TimerKind
 	depth int
 	since vtime.Time
@@ -69,11 +95,21 @@ type Timer struct {
 
 // NewTimer returns a stopped timer.
 func NewTimer(name string, kind TimerKind) *Timer {
-	return &Timer{name: name, kind: kind}
+	return &Timer{label: label{base: name}, kind: kind}
+}
+
+// NewTimers returns n stopped timers carved from one allocation, one per
+// node starting at first; the timer for node k is named "name[k]".
+func NewTimers(name string, kind TimerKind, first, n int) []Timer {
+	ts := make([]Timer, n)
+	for i := range ts {
+		ts[i] = Timer{label: label{base: name, node: first + i, perNode: true}, kind: kind}
+	}
+	return ts
 }
 
 // Name returns the timer's label.
-func (t *Timer) Name() string { return t.name }
+func (t *Timer) Name() string { return t.label.String() }
 
 // Kind returns the timer's clock kind.
 func (t *Timer) Kind() TimerKind { return t.kind }
@@ -91,7 +127,7 @@ func (t *Timer) Start(now vtime.Time) {
 // unbalanced instrumentation is a bug the tool must surface.
 func (t *Timer) Stop(now vtime.Time) error {
 	if t.depth == 0 {
-		return fmt.Errorf("dyninst: stop of stopped timer %q", t.name)
+		return fmt.Errorf("dyninst: stop of stopped timer %q", t.Name())
 	}
 	t.depth--
 	if t.depth == 0 {

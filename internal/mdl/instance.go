@@ -18,8 +18,8 @@ type Instance struct {
 
 	nodes    int
 	width    int // nodes covered by the focus; divisor for aggregate avg
-	counters []*dyninst.Counter
-	timers   []*dyninst.Timer
+	counters []dyninst.Counter
+	timers   []dyninst.Timer
 	handles  []dyninst.Handle
 	mgr      *dyninst.Manager
 	removed  bool
@@ -53,17 +53,12 @@ func (m *Metric) Instantiate(mgr *dyninst.Manager, nodes int, pred dyninst.Predi
 		return nil, fmt.Errorf("mdl: need at least one node")
 	}
 	inst := &Instance{Metric: m, nodes: nodes, width: nodes, mgr: mgr}
-	slots := nodes + 1
+	// One slice per instance, slot 0 being the control processor (node
+	// -1); each primitive renders its "ID[node]" label only when asked.
 	if m.Kind == Count {
-		inst.counters = make([]*dyninst.Counter, slots)
-		for i := range inst.counters {
-			inst.counters[i] = dyninst.NewCounter(fmt.Sprintf("%s[%d]", m.ID, i-1))
-		}
+		inst.counters = dyninst.NewCounters(m.ID, -1, nodes+1)
 	} else {
-		inst.timers = make([]*dyninst.Timer, slots)
-		for i := range inst.timers {
-			inst.timers[i] = dyninst.NewTimer(fmt.Sprintf("%s[%d]", m.ID, i-1), m.Timer)
-		}
+		inst.timers = dyninst.NewTimers(m.ID, m.Timer, -1, nodes+1)
 	}
 
 	for i, probe := range m.Probes {
@@ -93,12 +88,12 @@ func (inst *Instance) actionFor(i int, probe Probe) dyninst.Action {
 func (inst *Instance) Value(now vtime.Time) float64 {
 	var total float64
 	if inst.Metric.Kind == Count {
-		for _, c := range inst.counters {
-			total += c.Value()
+		for i := range inst.counters {
+			total += inst.counters[i].Value()
 		}
 	} else {
-		for _, t := range inst.timers {
-			total += t.Value(now).Seconds()
+		for i := range inst.timers {
+			total += inst.timers[i].Value(now).Seconds()
 		}
 	}
 	if inst.Metric.Agg == AggAvg {

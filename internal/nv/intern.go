@@ -177,8 +177,16 @@ func (in *Interner) SentencePtr(s *Sentence) *Sentence {
 }
 
 func (in *Interner) internSlow(s *Sentence) *Sentence {
+	return in.internParts(s.Verb, s.Nouns)
+}
+
+// internParts returns the stored sentence for (verb, nouns), interning it
+// on a miss. The key is built on the stack and nouns is only read — a
+// miss stores its own copy — so a caller may pass a stack-backed noun
+// list and a hit allocates nothing.
+func (in *Interner) internParts(verb VerbID, nouns []NounID) *Sentence {
 	var arr [96]byte
-	key := appendKey(arr[:0], s.Verb, s.Nouns)
+	key := appendKey(arr[:0], verb, nouns)
 	in.mu.RLock()
 	h, ok := in.sentences[string(key)]
 	in.mu.RUnlock()
@@ -190,7 +198,7 @@ func (in *Interner) internSlow(s *Sentence) *Sentence {
 	if h, ok := in.sentences[string(key)]; ok {
 		return in.canonical(h)
 	}
-	cs := &Sentence{Verb: s.Verb, Nouns: append([]NounID(nil), s.Nouns...)}
+	cs := &Sentence{Verb: verb, Nouns: append([]NounID(nil), nouns...)}
 	cs.vh = in.verbLocked(cs.Verb)
 	if len(cs.Nouns) > 0 {
 		cs.nhs = make([]NounHandle, len(cs.Nouns))
@@ -200,11 +208,6 @@ func (in *Interner) internSlow(s *Sentence) *Sentence {
 	}
 	cs.ckey = string(key)
 	cs.canon = cs
-	if len(cs.nhs) > 0 {
-		cs.skey = uint32(cs.nhs[0])
-	} else {
-		cs.skey = uint32(cs.vh)
-	}
 	var old []*Sentence
 	if p := in.byHandle.Load(); p != nil {
 		old = *p
@@ -264,10 +267,6 @@ func (in *Interner) Lookup(s Sentence) (Sentence, bool) {
 func HandleOf(s *Sentence) SentenceHandle    { return s.handle }
 func VerbHandleOf(s *Sentence) VerbHandle    { return s.vh }
 func NounHandlesOf(s *Sentence) []NounHandle { return s.nhs }
-
-// ShardKeyOf returns the sharding key of an interned sentence: its first
-// noun handle, or its verb handle when it has no nouns.
-func ShardKeyOf(s *Sentence) uint32 { return s.skey }
 
 // HasNoun reports whether interned sentence s carries noun handle h.
 // Sentences name at most a handful of nouns, so a linear scan of the

@@ -112,9 +112,6 @@ type Sentence struct {
 	// stored copy itself); value copies inherit it, so resolving a copy
 	// back to its canonical pointer is one nil-check.
 	canon *Sentence
-	// skey is the active-set sharding key: the first noun handle, or the
-	// verb handle for noun-less sentences.
-	skey uint32
 }
 
 // keySep separates key components; it cannot occur in IDs we mint.
@@ -123,7 +120,9 @@ const keySep = '\x1f'
 // NewSentence builds a canonical sentence from a verb and participating
 // nouns. Duplicate nouns are removed and the noun set is sorted. The
 // result is interned: repeated construction of the same sentence returns
-// the stored canonical copy without allocating.
+// the stored canonical copy without allocating — the noun set is
+// canonicalised in a stack buffer that only an interner miss copies to
+// the heap.
 func NewSentence(verb VerbID, nouns ...NounID) Sentence {
 	var arr [8]NounID
 	set := arr[:0]
@@ -149,7 +148,7 @@ func NewSentence(verb VerbID, nouns ...NounID) Sentence {
 		copy(set[pos+1:], set[pos:])
 		set[pos] = n
 	}
-	return DefaultInterner.Sentence(Sentence{Verb: verb, Nouns: set})
+	return *DefaultInterner.internParts(verb, set)
 }
 
 // Key returns a canonical string key for use in maps. Two sentences have

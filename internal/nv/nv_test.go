@@ -188,6 +188,25 @@ func BenchmarkNewSentence(b *testing.B) {
 	}
 }
 
+// A NewSentence hit canonicalises on the stack and returns the interner's
+// stored copy: no allocation, whatever the noun count, and the same
+// identity the miss that stored it returned.
+func TestNewSentenceHitAllocatesNothing(t *testing.T) {
+	for _, nouns := range [][]NounID{nil, {"hitA"}, {"hitC", "hitA", "hitB"}} {
+		miss := NewSentence("HitVerb", nouns...)
+		hit := NewSentence("HitVerb", nouns...)
+		if miss.Handle() == 0 || hit.Handle() != miss.Handle() || hit.Key() != miss.Key() {
+			t.Fatalf("%d nouns: miss handle/key = %d/%q, hit = %d/%q",
+				len(nouns), miss.Handle(), miss.Key(), hit.Handle(), hit.Key())
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			sinkKey = NewSentence("HitVerb", nouns...).Key()
+		}); n != 0 {
+			t.Errorf("NewSentence hit with %d nouns allocates %v times, want 0", len(nouns), n)
+		}
+	}
+}
+
 // Guard against accidental reuse of reflect-based equality in hot paths:
 // Equal must agree with reflect.DeepEqual on canonical sentences.
 func TestSentenceEqualMatchesDeepEqual(t *testing.T) {

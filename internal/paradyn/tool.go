@@ -78,6 +78,13 @@ type Tool struct {
 	arrayNames   map[cmrts.ArrayID]string
 	gating       bool
 	dynMapping   bool
+	// blockSents and arraySents hold the gating sentences
+	// {block BlockExecutes} and {array ArrayActive}, resolved the first
+	// time the tool sees each block or array name, so a dispatch fire or
+	// a focus predicate carries a resolved sentence instead of building
+	// one per event.
+	blockSents map[string]nv.Sentence
+	arraySents map[string]nv.Sentence
 
 	// Static mapping indexes from PIF.
 	stmtBlocks map[string][]string // statement noun -> block function names
@@ -241,6 +248,8 @@ func New(rt *cmrts.Runtime, lib *mdl.Library, opts Options) (*Tool, error) {
 		SASes:        sas.NewRegistry(sas.Options{Obs: opts.Obs}),
 		arraysByName: make(map[string][]cmrts.ArrayID),
 		arrayNames:   make(map[cmrts.ArrayID]string),
+		blockSents:   make(map[string]nv.Sentence),
+		arraySents:   make(map[string]nv.Sentence),
 		stmtBlocks:   make(map[string][]string),
 		blockStmts:   make(map[string][]string),
 		channel:      daemon.NewChannel(),
@@ -625,6 +634,27 @@ func (t *Tool) noteDeallocation(id cmrts.ArrayID, name string) {
 	}
 }
 
+// resolved returns {noun verb} from a per-verb sentence table, building
+// and storing it on first sight of the noun.
+func resolved(table map[string]nv.Sentence, verb nv.VerbID, noun string) nv.Sentence {
+	sn, ok := table[noun]
+	if !ok {
+		sn = nv.NewSentence(verb, nv.NounID(noun))
+		table[noun] = sn
+	}
+	return sn
+}
+
+// blockSentence returns {block BlockExecutes} for a node code block.
+func (t *Tool) blockSentence(block string) nv.Sentence {
+	return resolved(t.blockSents, VerbBlockExec, block)
+}
+
+// arraySentence returns {array ArrayActive} for a runtime array ID.
+func (t *Tool) arraySentence(id string) nv.Sentence {
+	return resolved(t.arraySents, VerbArrayActive, id)
+}
+
 // EnableGating inserts the dispatcher snippet that maintains the per-node
 // SAS sentences for array and block activity: "the CMRTS node code block
 // dispatcher notifies the SAS of array activation/deactivation by
@@ -640,9 +670,9 @@ func (t *Tool) EnableGating() {
 		Name: "paradyn gating: block entry",
 		Do: func(ctx dyninst.Context) {
 			s := t.SASes.Node(ctx.Node)
-			s.Activate(nv.NewSentence(VerbBlockExec, nv.NounID(ctx.Tag)), ctx.Now)
+			s.Activate(t.blockSentence(ctx.Tag), ctx.Now)
 			for _, id := range ctx.Args {
-				s.Activate(nv.NewSentence(VerbArrayActive, nv.NounID(id)), ctx.Now)
+				s.Activate(t.arraySentence(id), ctx.Now)
 			}
 		},
 	})
@@ -651,9 +681,9 @@ func (t *Tool) EnableGating() {
 		Do: func(ctx dyninst.Context) {
 			s := t.SASes.Node(ctx.Node)
 			for _, id := range ctx.Args {
-				_ = s.Deactivate(nv.NewSentence(VerbArrayActive, nv.NounID(id)), ctx.Now)
+				_ = s.Deactivate(t.arraySentence(id), ctx.Now)
 			}
-			_ = s.Deactivate(nv.NewSentence(VerbBlockExec, nv.NounID(ctx.Tag)), ctx.Now)
+			_ = s.Deactivate(t.blockSentence(ctx.Tag), ctx.Now)
 		},
 	})
 }
@@ -685,7 +715,7 @@ func (t *Tool) predicateFor(focus Focus) (dyninst.Predicate, error) {
 			}
 			s := t.SASes.Node(ctx.Node)
 			for _, id := range t.arraysByName[name] {
-				if s.Active(nv.NewSentence(VerbArrayActive, nv.NounID(string(id)))) {
+				if s.Active(t.arraySentence(string(id))) {
 					return true
 				}
 			}
@@ -701,13 +731,19 @@ func (t *Tool) predicateFor(focus Focus) (dyninst.Predicate, error) {
 		if len(blocks) == 0 {
 			return nil, fmt.Errorf("paradyn: no mapping for statement %q (load a PIF file)", r.Name)
 		}
+		// The statement's blocks are known now: resolve their sentences
+		// where the predicate is built, not where it fires.
+		sents := make([]nv.Sentence, len(blocks))
+		for i, b := range blocks {
+			sents[i] = t.blockSentence(b)
+		}
 		preds = append(preds, func(ctx dyninst.Context) bool {
 			if ctx.Node < 0 {
 				return false
 			}
 			s := t.SASes.Node(ctx.Node)
-			for _, b := range blocks {
-				if s.Active(nv.NewSentence(VerbBlockExec, nv.NounID(b))) {
+			for i := range sents {
+				if s.Active(sents[i]) {
 					return true
 				}
 			}

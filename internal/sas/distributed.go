@@ -86,8 +86,7 @@ type pendingSend struct {
 
 // collectExports matches an activation change against the export rules;
 // active is the sentence's membership after the change (exports fire only
-// on transitions, so the caller knows it). Called with structMu held in
-// either mode.
+// on transitions, so the caller knows it). Called with structMu held.
 func (s *SAS) collectExports(sn *nv.Sentence, at vtime.Time, active bool) []pendingSend {
 	if len(s.exports) == 0 || s.replaying > 0 {
 		return nil

@@ -1,6 +1,8 @@
 package sas
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,12 +13,12 @@ import (
 )
 
 // This file proves the hot-path machinery — the question index, the
-// per-term incremental match counts and the sharded active set — against
+// per-term incremental match counts and the columnar active set — against
 // a brute-force reference model: a plain list of active sentences scanned
 // in full for every evaluation, with gates computed straight from the
 // Question definition. Random operation streams (fixed seeds) must make
-// the two agree on every satisfied flag, every event charge, and the
-// accumulated timers.
+// the two agree on every satisfied flag, every event charge, the
+// accumulated timers, and every Stats counter.
 
 // refActive is one reference-model active entry.
 type refActive struct {
@@ -26,14 +28,18 @@ type refActive struct {
 }
 
 // refModel is the brute-force SAS: no interning, no index, no counts.
+// stats tallies what Stats documents — the tests the semantic model
+// performs — so the real counters can be compared field for field.
 type refModel struct {
 	active []refActive
 	qs     []Question
+	filter bool
 	sat    []bool
 	since  []vtime.Time
 	satT   []vtime.Duration
 	count  []float64
 	evT    []vtime.Duration
+	stats  Stats
 }
 
 func newRefModel(qs []Question) *refModel {
@@ -45,8 +51,10 @@ func newRefModel(qs []Question) *refModel {
 		count: make([]float64, len(qs)),
 		evT:   make([]vtime.Duration, len(qs)),
 	}
-	// Mirror AddQuestion's initial gate evaluation at time zero.
+	// Mirror AddQuestion's initial gate evaluation at time zero (one
+	// evaluation per question; the active set is empty, so no matches).
 	for i := range qs {
+		m.stats.Evaluations++
 		if m.gate(qs[i], nil) {
 			m.sat[i] = true
 			m.since[i] = 0
@@ -64,31 +72,63 @@ func (m *refModel) find(sn nv.Sentence) int {
 	return -1
 }
 
+// relevant is the relevance filter by full scan: some term of some
+// question matches sn.
+func (m *refModel) relevant(sn nv.Sentence) bool {
+	for _, q := range m.qs {
+		for _, t := range q.allTerms() {
+			if t.Matches(sn) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (m *refModel) activate(sn nv.Sentence, at vtime.Time) {
+	m.stats.Notifications++
+	if m.filter && !m.relevant(sn) {
+		m.stats.Ignored++
+		return
+	}
+	m.stats.Stored++
 	if i := m.find(sn); i >= 0 {
 		m.active[i].depth++
 		return
 	}
 	m.active = append(m.active, refActive{sn: sn, since: at, depth: 1})
-	m.regate(at)
+	m.regate(sn, at)
 }
 
 func (m *refModel) deactivate(sn nv.Sentence, at vtime.Time) {
+	m.stats.Notifications++
 	i := m.find(sn)
 	if i < 0 {
+		if m.filter && !m.relevant(sn) {
+			m.stats.Ignored++
+		}
 		return
 	}
+	m.stats.Stored++
 	m.active[i].depth--
 	if m.active[i].depth > 0 {
 		return
 	}
 	m.active = append(m.active[:i], m.active[i+1:]...)
-	m.regate(at)
+	m.regate(sn, at)
 }
 
-// regate recomputes every gate after a membership change, accumulating
-// the satisfied timers exactly as updateGateLocked does.
-func (m *refModel) regate(at vtime.Time) {
+// regate recomputes every gate after sn entered or left the active set,
+// accumulating the satisfied timers exactly as updateGate does. Each
+// question the index consults for sn is one evaluation testing all of
+// its terms.
+func (m *refModel) regate(sn nv.Sentence, at vtime.Time) {
+	for _, q := range m.qs {
+		if refCandidate(q, sn) {
+			m.stats.Evaluations++
+			m.stats.MatchesEvaluated += len(q.allTerms())
+		}
+	}
 	for i := range m.qs {
 		now := m.gate(m.qs[i], nil)
 		if now == m.sat[i] {
@@ -103,15 +143,22 @@ func (m *refModel) regate(at vtime.Time) {
 	}
 }
 
-// termHolds reports whether t matches an active sentence or the extra
-// (event) sentence.
+// matchExtra tests t against a measured event's sentence — one
+// model-level match test.
+func (m *refModel) matchExtra(t Term, extra nv.Sentence) bool {
+	m.stats.MatchesEvaluated++
+	return t.Matches(extra)
+}
+
+// termHolds reports whether t matches an active sentence or, failing
+// that, the extra (event) sentence.
 func (m *refModel) termHolds(t Term, extra *nv.Sentence) bool {
 	for i := range m.active {
 		if t.Matches(m.active[i].sn) {
 			return true
 		}
 	}
-	return extra != nil && t.Matches(*extra)
+	return extra != nil && m.matchExtra(t, *extra)
 }
 
 func (m *refModel) gate(q Question, extra *nv.Sentence) bool {
@@ -155,12 +202,16 @@ func (m *refModel) gateExpr(e *Expr, extra *nv.Sentence) bool {
 // gateOrdered is the reference ordered evaluation: each term must match
 // an activation no earlier than the previous term's earliest eligible
 // activation, with the extra (trigger) sentence eligible only for the
-// final term and ordered after everything stored.
+// final term and ordered after everything stored. A measured event
+// tests every active sentence against every term it reaches.
 func (m *refModel) gateOrdered(q Question, extra *nv.Sentence) bool {
 	prev := vtime.Time(-1 << 62)
 	for i, t := range q.Terms {
 		last := i == len(q.Terms)-1
 		best, found := vtime.Time(-1), false
+		if extra != nil {
+			m.stats.MatchesEvaluated += len(m.active)
+		}
 		for _, a := range m.active {
 			if !t.Matches(a.sn) || a.since.Before(prev) {
 				continue
@@ -170,7 +221,7 @@ func (m *refModel) gateOrdered(q Question, extra *nv.Sentence) bool {
 			}
 		}
 		if !found {
-			return last && extra != nil && t.Matches(*extra)
+			return last && extra != nil && m.matchExtra(t, *extra)
 		}
 		prev = best
 	}
@@ -217,8 +268,9 @@ func (m *refModel) fires(q Question, extra nv.Sentence) bool {
 	if !refCandidate(q, extra) {
 		return false
 	}
+	m.stats.CandidatesScanned++
 	if q.Ordered && len(q.Terms) > 0 {
-		if !q.Terms[len(q.Terms)-1].Matches(extra) {
+		if !m.matchExtra(q.Terms[len(q.Terms)-1], extra) {
 			return false
 		}
 		return m.gate(q, &extra)
@@ -226,7 +278,7 @@ func (m *refModel) fires(q Question, extra nv.Sentence) bool {
 	if q.Expr == nil {
 		some := false
 		for _, t := range q.Terms {
-			if t.Matches(extra) {
+			if m.matchExtra(t, extra) {
 				some = true
 				break
 			}
@@ -239,6 +291,7 @@ func (m *refModel) fires(q Question, extra nv.Sentence) bool {
 }
 
 func (m *refModel) event(sn nv.Sentence, value float64) int {
+	m.stats.Events++
 	hits := 0
 	for i := range m.qs {
 		if m.fires(m.qs[i], sn) {
@@ -250,6 +303,7 @@ func (m *refModel) event(sn nv.Sentence, value float64) int {
 }
 
 func (m *refModel) span(sn nv.Sentence, value vtime.Duration) int {
+	m.stats.Events++
 	hits := 0
 	for i := range m.qs {
 		if m.fires(m.qs[i], sn) {
@@ -314,8 +368,10 @@ func randSentence(rng *rand.Rand, verbs, nouns []string) nv.Sentence {
 
 // TestIndexedEquivalentToBruteForce drives random operation streams
 // through a real SAS and the reference model and demands identical
-// satisfied flags after every operation, identical hit counts for every
-// measured event, and identical counters and timers at the end.
+// satisfied flags and identical Stats — every field — after every
+// operation, identical hit counts for every measured event, identical
+// counters and timers at the end, and a checkpointed Stats that survives
+// its JSON form byte for byte.
 func TestIndexedEquivalentToBruteForce(t *testing.T) {
 	verbs := []string{"Sum", "Send", "Exec", "Idle"}
 	nouns := []string{"A", "B", "C", "D", "E"}
@@ -337,6 +393,7 @@ func TestIndexedEquivalentToBruteForce(t *testing.T) {
 				ids[i] = id
 			}
 			ref := newRefModel(qs)
+			ref.filter = seed%2 == 0
 
 			at := vtime.Time(0)
 			for op := 0; op < 400; op++ {
@@ -372,6 +429,29 @@ func TestIndexedEquivalentToBruteForce(t *testing.T) {
 							op, at, qs[i].Label, got, want, ref.active)
 					}
 				}
+				if got := s.Stats(); got != ref.stats {
+					t.Fatalf("op %d at %d (%v): Stats = %+v, reference %+v", op, at, sn, got, ref.stats)
+				}
+			}
+
+			// A checkpoint carries Stats as JSON; decoding it into a fresh
+			// SAS and exporting again must reproduce the bytes.
+			saved, err := json.Marshal(s.ExportState().Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Stats
+			if err := json.Unmarshal(saved, &back); err != nil {
+				t.Fatal(err)
+			}
+			restored := New(Options{})
+			restored.RestoreState(State{Stats: back})
+			again, err := json.Marshal(restored.ExportState().Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved, again) {
+				t.Fatalf("checkpointed Stats did not round-trip:\n saved %s\n again %s", saved, again)
 			}
 
 			end := at + 10
@@ -432,7 +512,7 @@ func mustMatchSnapshot(t *testing.T, tag string, got, want []ActiveSentence) {
 
 // TestSnapshotOrderingEquivalentToBruteForce pins the answer-ordering
 // contract: Snapshot() returns entries sorted by (Since, sentence key)
-// regardless of shard layout, swap-remove compaction history or column
+// regardless of row layout, swap-remove compaction history or column
 // growth. The reference model sorts its flat list by the same rule and
 // the two sequences must agree element for element, not merely as sets.
 func TestSnapshotOrderingEquivalentToBruteForce(t *testing.T) {
@@ -463,57 +543,99 @@ func TestSnapshotOrderingEquivalentToBruteForce(t *testing.T) {
 	}
 }
 
+// mustHoldOnlyLiveRows checks the columnar invariants behind
+// Columns(): rows equal the reference active count, capacity covers the
+// rows, and no pointer column retains a sentence or link past the live
+// rows (a vacated slot the collector could still see through the
+// columns' spare capacity).
+func mustHoldOnlyLiveRows(t *testing.T, tag string, s *SAS, want int) {
+	t.Helper()
+	cs := s.Columns()
+	if cs.Rows != want {
+		t.Fatalf("%s: Columns().Rows = %d, reference %d", tag, cs.Rows, want)
+	}
+	if cs.Capacity < cs.Rows {
+		t.Fatalf("%s: Columns().Capacity = %d < Rows %d", tag, cs.Capacity, cs.Rows)
+	}
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
+	for i, sn := range s.act.sents[len(s.act.sents):cap(s.act.sents)] {
+		if sn != nil {
+			t.Fatalf("%s: sentence column retains %v %d slots past the live rows", tag, sn, i)
+		}
+	}
+	for i, l := range s.act.origin[len(s.act.origin):cap(s.act.origin)] {
+		if l != nil {
+			t.Fatalf("%s: origin column retains a link %d slots past the live rows", tag, i)
+		}
+	}
+}
+
 // TestColumnsEquivalentToBruteForce pins the columnar bookkeeping
-// against the reference under random churn: Columns().Rows always
-// equals the brute-force active count, capacity never drops below the
-// rows it holds, the per-shard sizes sum to the same total, and the
-// compaction counter never exceeds the deactivations that could have
-// caused a swap-remove.
+// against the reference under random churn — with some rows held on
+// behalf of a reliable link, so the origin column carries pointers too:
+// rows always equal the brute-force active count, capacity never drops
+// below them, nothing is retained past the live rows after churn or
+// after RestoreState re-carves the columns, and the compaction counter
+// never exceeds the removals that could have caused a swap-remove.
 func TestColumnsEquivalentToBruteForce(t *testing.T) {
 	verbs := []string{"Sum", "Send", "Exec"}
 	nouns := []string{"A", "B", "C", "D", "E"}
 	rng := rand.New(rand.NewSource(11))
 	s := New(Options{})
+	remote := New(Options{Node: 1})
+	if _, err := remote.ExportReliable(T("Remote", Any), s, nil, false); err != nil {
+		t.Fatal(err)
+	}
 	ref := newRefModel(nil)
 	at := vtime.Time(0)
 	removals := int64(0)
 	for op := 0; op < 800; op++ {
 		at += vtime.Time(1 + rng.Intn(3))
 		sn := randSentence(rng, verbs, nouns)
-		if rng.Intn(3) == 0 {
-			before := len(ref.active)
+		before := len(ref.active)
+		switch rng.Intn(6) {
+		case 0, 1:
 			_ = s.Deactivate(sn, at)
 			ref.deactivate(sn, at)
-			if len(ref.active) < before {
-				removals++
+		case 2:
+			// A link-held row: the remote SAS's activation arrives in s.
+			sn = nv.NewSentence("Remote", sn.Nouns...)
+			if remote.Active(sn) {
+				_ = remote.Deactivate(sn, at)
+				ref.deactivate(sn, at)
+			} else {
+				remote.Activate(sn, at)
+				ref.activate(sn, at)
 			}
-		} else {
+		default:
 			s.Activate(sn, at)
 			ref.activate(sn, at)
 		}
-		cs := s.Columns()
-		if cs.Rows != len(ref.active) {
-			t.Fatalf("op %d: Columns().Rows = %d, reference %d", op, cs.Rows, len(ref.active))
+		if len(ref.active) < before {
+			removals++
 		}
-		if cs.Capacity < cs.Rows {
-			t.Fatalf("op %d: Columns().Capacity = %d < Rows %d", op, cs.Capacity, cs.Rows)
-		}
-		sum := 0
-		for _, sz := range s.ShardSizes() {
-			sum += sz
-		}
-		if sum != cs.Rows {
-			t.Fatalf("op %d: ShardSizes sum = %d, Columns().Rows = %d", op, sum, cs.Rows)
-		}
-		if cs.Compactions > removals {
+		mustHoldOnlyLiveRows(t, fmt.Sprintf("op %d", op), s, len(ref.active))
+		if cs := s.Columns(); cs.Compactions > removals {
 			t.Fatalf("op %d: %d compactions recorded for only %d removals", op, cs.Compactions, removals)
 		}
+	}
+
+	// Restoring drops the link-held rows (their links resync them) and
+	// re-carves the columns: only the checkpoint's rows may remain.
+	saved := s.ExportState()
+	s.RestoreState(saved)
+	mustHoldOnlyLiveRows(t, "after restore", s, len(saved.Active))
+	s.RestoreState(State{})
+	mustHoldOnlyLiveRows(t, "after empty restore", s, 0)
+	if got := s.Columns().Capacity; got != initRows {
+		t.Fatalf("after empty restore: capacity = %d, want the carved %d", got, initRows)
 	}
 }
 
 // TestRestoreEquivalentToBruteForce drives churn, checkpoints the SAS,
 // diverges it with further churn, then restores — exercising the
-// clearShards path that re-carves the embedded column slab. The
+// carveColumns path that re-carves the embedded column slab. The
 // restored snapshot must equal the reference model frozen at the
 // checkpoint, and every question's Result at the checkpoint instant
 // must round-trip exactly.
@@ -596,7 +718,7 @@ func TestRestoreEquivalentToBruteForce(t *testing.T) {
 	}
 }
 
-// TestSnapshotEquivalentToBruteForce checks that the sharded set reports
+// TestSnapshotEquivalentToBruteForce checks that the columnar set reports
 // the same membership and nesting as the reference under random churn.
 func TestSnapshotEquivalentToBruteForce(t *testing.T) {
 	verbs := []string{"Sum", "Send", "Exec"}

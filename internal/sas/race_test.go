@@ -8,12 +8,12 @@ import (
 	"nvmap/internal/vtime"
 )
 
-// TestConcurrentStatsReaders pins the contract behind the shard
-// counters' atomics: each SAS is notified from a single goroutine (the
-// session's driving goroutine), but Stats, TotalStats, Size, Index and
-// ShardSizes may be read concurrently from other goroutines — an HTTP
-// metrics handler, the registry's pull collectors — without torn reads.
-// Run under -race this fails if any counter access is non-atomic.
+// TestConcurrentStatsReaders pins the contract behind the SAS lock:
+// each SAS is notified from a single goroutine (the session's driving
+// goroutine), but Stats, TotalStats, Size, Index and Columns may be read
+// concurrently from other goroutines — an HTTP metrics handler, the
+// registry's pull collectors — without torn reads. Run under -race this
+// fails if any counter is touched outside the lock.
 func TestConcurrentStatsReaders(t *testing.T) {
 	const nodes, rounds = 4, 300
 	r := NewRegistry(Options{})
@@ -43,7 +43,7 @@ func TestConcurrentStatsReaders(t *testing.T) {
 					_ = s.Stats()
 					_ = s.Size()
 					_ = s.Index()
-					_ = s.ShardSizes()
+					_ = s.Columns()
 				}
 			}
 		}()

@@ -287,7 +287,7 @@ type linkState struct {
 }
 
 // linkStateLocked returns (creating on first use) the receiver-side state
-// for a link. Called with structMu in write mode.
+// for a link. Called with structMu held.
 func (s *SAS) linkStateLocked(l *ReliableLink) *linkState {
 	if s.links == nil {
 		s.links = make(map[*ReliableLink]*linkState)
@@ -359,24 +359,24 @@ func (s *SAS) applyReliableEvent(l *ReliableLink, ev Event) {
 	sn := nv.InternedPtr(&ev.Sentence)
 	s.structMu.Lock()
 	var pending []pendingSend
-	sh := s.shardOf(sn)
+	sh := &s.act
 	i := sh.find(nv.HandleOf(sn))
+	s.stats.Notifications++
 	switch {
 	case ev.Active && i < 0:
-		s.stats.notifStored.Add(notifInc | 1)
+		s.stats.Stored++
 		sh.insert(sn, ev.At, 1, l)
 		s.notifyQuestions(sn, ev.At, +1)
 		pending = s.collectExports(sn, ev.At, true)
 	case !ev.Active && i >= 0 && sh.origin[i] == l:
-		s.stats.notifStored.Add(notifInc | 1)
+		s.stats.Stored++
 		sh.removeAt(i)
 		s.notifyQuestions(sn, ev.At, -1)
 		pending = s.collectExports(sn, ev.At, false)
 	default:
 		// Idempotent no-op: re-activation of a live entry, or
 		// deactivation of an entry we do not hold for this link.
-		s.stats.notifStored.Add(notifInc)
-		s.stats.ignored.Add(1)
+		s.stats.Ignored++
 	}
 	s.structMu.Unlock()
 	dispatch(pending)
@@ -397,20 +397,17 @@ func (s *SAS) resyncFromLink(l *ReliableLink, lastSeq uint64, snap []ActiveSente
 		want[a.Sentence.Key()] = a
 	}
 	var drop []*nv.Sentence
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for j, sn := range sh.sents {
-			if sh.origin[j] == l {
-				if _, ok := want[sn.Key()]; !ok {
-					drop = append(drop, sn)
-				}
+	for j, sn := range s.act.sents {
+		if s.act.origin[j] == l {
+			if _, ok := want[sn.Key()]; !ok {
+				drop = append(drop, sn)
 			}
 		}
 	}
 	var adopt []string
 	for key, a := range want {
 		p := nv.InternedPtr(&a.Sentence)
-		if s.shardOf(p).find(nv.HandleOf(p)) < 0 {
+		if s.act.find(nv.HandleOf(p)) < 0 {
 			adopt = append(adopt, key)
 		}
 	}
@@ -419,18 +416,17 @@ func (s *SAS) resyncFromLink(l *ReliableLink, lastSeq uint64, snap []ActiveSente
 
 	var pending []pendingSend
 	for _, sn := range drop {
-		s.stats.notifStored.Add(1)
+		s.stats.Stored++
 		// Re-find by handle: earlier drops may have swap-moved the row.
-		sh := s.shardOf(sn)
-		sh.removeAt(sh.find(nv.HandleOf(sn)))
+		s.act.removeAt(s.act.find(nv.HandleOf(sn)))
 		s.notifyQuestions(sn, at, -1)
 		pending = append(pending, s.collectExports(sn, at, false)...)
 	}
 	for _, key := range adopt {
 		a := want[key]
 		sn := nv.InternedPtr(&a.Sentence)
-		s.stats.notifStored.Add(1)
-		s.shardOf(sn).insert(sn, a.Since, 1, l)
+		s.stats.Stored++
+		s.act.insert(sn, a.Since, 1, l)
 		s.notifyQuestions(sn, at, +1)
 		pending = append(pending, s.collectExports(sn, at, true)...)
 	}
@@ -443,15 +439,7 @@ func (s *SAS) resyncFromLink(l *ReliableLink, lastSeq uint64, snap []ActiveSente
 // snapshot resync.
 func (s *SAS) SnapshotMatching(pattern Term) []ActiveSentence {
 	s.structMu.Lock()
-	var out []ActiveSentence
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for j, sn := range sh.sents {
-			if pattern.Matches(*sn) {
-				out = append(out, ActiveSentence{Sentence: *sn, Since: sh.since[j], Depth: int(sh.depth[j])})
-			}
-		}
-	}
+	out := s.act.appendRows(nil, func(row int) bool { return pattern.Matches(*s.act.sents[row]) })
 	s.structMu.Unlock()
 	sortSnapshot(out)
 	return out

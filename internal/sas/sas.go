@@ -26,13 +26,15 @@
 // organised around interned identities (package nv hands every noun, verb
 // and sentence a small-int handle) and columnar storage:
 //
-//   - The active set is sharded by the sentence's first noun handle. Each
-//     shard is struct-of-arrays: parallel dense columns (sentence handle,
-//     verb handle, canonical sentence pointer, activation instant, depth,
-//     origin link) indexed by row. Insert appends a row to every column;
-//     remove swap-moves the last row into the hole — no per-entry heap
-//     objects, no freelist, and the columns keep their capacity across
-//     activate/deactivate cycles, so the steady state allocates nothing.
+//   - The active set is one struct-of-arrays column group: parallel dense
+//     columns (sentence handle, verb handle, canonical sentence pointer,
+//     activation instant, depth, origin link) indexed by row. Insert
+//     appends a row to every column; remove swap-moves the last row into
+//     the hole — no per-entry heap objects, no freelist, and the columns
+//     keep their capacity across activate/deactivate cycles, so the
+//     steady state allocates nothing. A node has a block, its arrays and
+//     a send active at once, so finding a row is a scan of a handful of
+//     handles.
 //   - Whole-set work (seeding a new question's match counts, recounting
 //     after a restore, ordered-question evaluation) is a batch sweep per
 //     question term: a tight pass over the verb-handle column rejects
@@ -51,13 +53,15 @@
 //     count of matching active rows, maintained incrementally at every
 //     insert/remove. Gate evaluation is then a handful of integer reads.
 //
-// Locking is two-tier. structMu is held in read mode by the hot
-// operations, which then synchronise among themselves with the per-shard
-// locks and per-question locks; structural operations (question
-// registration, export wiring, restore/reset/replay, shadow and
-// reliable-link application) hold structMu in write mode and own the
-// whole structure. Lock order: structMu, then a question lock, then shard
-// locks; no path holds a shard lock while acquiring a question lock.
+// Locking is one mutex, structMu, held by every method for the whole
+// operation: one goroutine drives a session, so the lock is uncontended
+// on the notification path, and what it buys is that readers on other
+// goroutines (a /metrics scrape, TotalStats) and the paper's shared-memory
+// case (several threads notifying one SAS, Section 4.2.3) stay safe at
+// the synchronisation cost the paper names. Exports decided under the
+// lock are dispatched after it is released, so two SASes may export to
+// each other. Watch callbacks and the SetRecorder hook run under the
+// lock and must not call back into the same SAS.
 package sas
 
 import (
@@ -65,7 +69,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"nvmap/internal/nv"
 	"nvmap/internal/obs"
@@ -106,48 +109,6 @@ type Stats struct {
 	// must not change checkpointed statistics.
 	CandidatesScanned int `json:",omitempty"`
 	MatchesEvaluated  int `json:",omitempty"`
-}
-
-// statCounters is the internal, contention-free form of Stats. The two
-// counters bumped on every notification — Notifications and Stored — are
-// packed into one word (high and low 32 bits) so paths outside the shard
-// critical sections pay a single atomic add; the packing caps them at
-// 2^32, far beyond the traffic of any run these observability counters
-// describe. (The shard-local notif/stored counters are plain ints under
-// the shard lock — see shard.)
-type statCounters struct {
-	notifStored atomic.Int64 // Notifications<<32 | Stored
-	ignored     atomic.Int64
-	evaluations atomic.Int64
-	events      atomic.Int64
-	candidates  atomic.Int64
-	matches     atomic.Int64
-}
-
-// notifInc adds one notification to the packed counter; or it with 1 to
-// also count the operation as stored.
-const notifInc = int64(1) << 32
-
-func (c *statCounters) snapshot() Stats {
-	ns := c.notifStored.Load()
-	return Stats{
-		Notifications:     int(ns >> 32),
-		Ignored:           int(c.ignored.Load()),
-		Stored:            int(ns & 0xffffffff),
-		Evaluations:       int(c.evaluations.Load()),
-		Events:            int(c.events.Load()),
-		CandidatesScanned: int(c.candidates.Load()),
-		MatchesEvaluated:  int(c.matches.Load()),
-	}
-}
-
-func (c *statCounters) restore(st Stats) {
-	c.notifStored.Store(int64(st.Notifications)<<32 | int64(st.Stored)&0xffffffff)
-	c.ignored.Store(int64(st.Ignored))
-	c.evaluations.Store(int64(st.Evaluations))
-	c.events.Store(int64(st.Events))
-	c.candidates.Store(int64(st.CandidatesScanned))
-	c.matches.Store(int64(st.MatchesEvaluated))
 }
 
 // Result is the measurement state of one question.
@@ -267,14 +228,11 @@ type questionState struct {
 	expr *cexpr
 	trig *cterm // compiled measured term of an ordered question
 
-	// mu guards everything below. It nests inside structMu; evalOrdered
-	// may acquire shard read locks while holding it, so no path may hold
-	// a shard lock while taking a question lock.
-	mu sync.Mutex
-	// counts[i] is the number of active rows matching all[i], maintained
-	// incrementally on every insert/remove transition. The gate of an
-	// unordered question (or expression) is computed from these counts
-	// alone.
+	// Everything below is mutable measurement state, guarded by the SAS
+	// lock. counts[i] is the number of active rows matching all[i],
+	// maintained incrementally on every insert/remove transition. The
+	// gate of an unordered question (or expression) is computed from
+	// these counts alone.
 	counts []int32
 	// countsBuf backs counts for questions of up to four terms (nearly
 	// all of them), folding the counts allocation into the state's own.
@@ -303,24 +261,17 @@ func newQuestionState(id QuestionID, q Question, cq *compiledQuestion) *question
 	return st
 }
 
-// numShards is the active-set shard count: enough to spread notification
-// traffic from concurrent monitors without making whole-set iteration
-// (snapshots, ordered questions) pay for dozens of locks.
-const numShards = 8
-
-// shard is one struct-of-arrays column group of the active set. The
-// columns are parallel — row i of every column describes the same active
-// sentence — and dense: insert appends to each column, remove swap-moves
-// the last row into the hole (a "compaction", counted for the
-// observability plane). The columns never shrink their capacity, so a
-// warmed shard's activate/deactivate cycle allocates nothing.
-type shard struct {
-	mu sync.RWMutex
-
-	// The columns. handles and verbs are the sweep columns — pure uint32
-	// lanes a batch pass reads linearly; sents resolves a row to its
-	// canonical sentence (for noun tests and snapshots); since/depth/
-	// origin carry the row's activation state.
+// columns is the struct-of-arrays active set. The columns are parallel —
+// row i of every column describes the same active sentence — and dense:
+// insert appends to each column, remove swap-moves the last row into the
+// hole (a "compaction", counted for the observability plane). The columns
+// never shrink their capacity, so a warmed activate/deactivate cycle
+// allocates nothing. Every method is called with the SAS lock held.
+type columns struct {
+	// handles and verbs are the sweep columns — pure uint32 lanes a batch
+	// pass reads linearly; sents resolves a row to its canonical sentence
+	// (for noun tests and snapshots); since/depth/origin carry the row's
+	// activation state.
 	handles []nv.SentenceHandle
 	verbs   []nv.VerbHandle
 	sents   []*nv.Sentence
@@ -328,24 +279,16 @@ type shard struct {
 	depth   []int32
 	origin  []*ReliableLink
 
-	// notif and stored count the notifications applied through this
-	// shard; compact counts swap-remove backfills. All are plain ints
-	// mutated under mu in write mode and read under mu in read mode
-	// (statsSnapshot) — cheaper than the atomic adds they replace, which
-	// cost two LOCK-prefixed instructions on every notification.
-	notif   int64
-	stored  int64
+	// compact counts swap-remove backfills.
 	compact int64
 }
 
-// rows returns the shard's active row count. The shard lock (or structMu
-// write) is held.
-func (sh *shard) rows() int { return len(sh.handles) }
+// rows returns the active row count.
+func (sh *columns) rows() int { return len(sh.handles) }
 
 // find returns the row index of an interned sentence handle, or -1, by
-// scanning the dense handle column (shards hold a row or two). The
-// shard lock (or structMu write) is held.
-func (sh *shard) find(h nv.SentenceHandle) int {
+// scanning the dense handle column.
+func (sh *columns) find(h nv.SentenceHandle) int {
 	for i, x := range sh.handles {
 		if x == h {
 			return i
@@ -354,23 +297,20 @@ func (sh *shard) find(h nv.SentenceHandle) int {
 	return -1
 }
 
-// insert appends a row for sn to every column and returns its index; the
-// shard lock (or structMu write) is held.
-func (sh *shard) insert(sn *nv.Sentence, since vtime.Time, depth int32, origin *ReliableLink) int {
-	i := len(sh.handles)
+// insert appends a row for sn to every column.
+func (sh *columns) insert(sn *nv.Sentence, since vtime.Time, depth int32, origin *ReliableLink) {
 	sh.handles = append(sh.handles, nv.HandleOf(sn))
 	sh.verbs = append(sh.verbs, nv.VerbHandleOf(sn))
 	sh.sents = append(sh.sents, sn)
 	sh.since = append(sh.since, since)
 	sh.depth = append(sh.depth, depth)
 	sh.origin = append(sh.origin, origin)
-	return i
 }
 
-// removeAt deletes row i by swap-moving the last row into the hole; same
-// locking as insert. Pointer column slots of the vacated row are nilled
-// so the collector does not see dead sentences through retained capacity.
-func (sh *shard) removeAt(i int) {
+// removeAt deletes row i by swap-moving the last row into the hole.
+// Pointer column slots of the vacated row are nilled so the collector
+// does not see dead sentences through retained capacity.
+func (sh *columns) removeAt(i int) {
 	last := len(sh.handles) - 1
 	if i != last {
 		sh.handles[i] = sh.handles[last]
@@ -391,12 +331,11 @@ func (sh *shard) removeAt(i int) {
 	sh.origin = sh.origin[:last]
 }
 
-// countMatches batch-sweeps the shard for rows matching ct and returns
+// countMatches batch-sweeps the columns for rows matching ct and returns
 // how many match. A concrete-verb term scans the dense verb column —
 // one integer compare per row — and only verb hits pay the noun subset
-// test; a wildcard-verb term tests nouns on every row. Same locking as
-// find.
-func (sh *shard) countMatches(ct *cterm) int32 {
+// test; a wildcard-verb term tests nouns on every row.
+func (sh *columns) countMatches(ct *cterm) int32 {
 	var n int32
 	if !ct.anyVerb {
 		for i, vh := range sh.verbs {
@@ -414,27 +353,38 @@ func (sh *shard) countMatches(ct *cterm) int32 {
 	return n
 }
 
+// appendRows appends the rows keep accepts (nil keeps every row) to dst
+// as snapshot entries, in row order.
+func (sh *columns) appendRows(dst []ActiveSentence, keep func(row int) bool) []ActiveSentence {
+	for i, sn := range sh.sents {
+		if keep == nil || keep(i) {
+			dst = append(dst, ActiveSentence{Sentence: *sn, Since: sh.since[i], Depth: int(sh.depth[i])})
+		}
+	}
+	return dst
+}
+
 // SAS is one Set of Active Sentences. On a distributed-memory system each
 // node holds its own SAS (see Registry); on shared memory a single SAS may
 // be shared by several goroutines — all methods are safe for concurrent
-// use, at the synchronisation cost the paper warns about.
+// use, under one lock, at the synchronisation cost the paper warns about.
 type SAS struct {
 	node   int
 	filter bool
 
-	// structMu is the two-tier structure lock; see the package comment.
-	structMu sync.RWMutex
+	// structMu is the one lock: it guards every field below; see the
+	// package comment.
+	structMu sync.Mutex
 
-	shards [numShards]shard
-	// colBuf backs the initial shard column windows; see
-	// carveShardColumns.
+	act columns
+	// colBuf backs the initial column windows; see carveColumns.
 	colBuf columnBuf
 
 	// byVerb and byNoun are the question posting lists, indexed directly
 	// by verb/noun handle (handles are small dense ints, so a slice
 	// replaces the map — candidate discovery is a bounds check and a
 	// load). wildcardQ is the scan-always list. Every posting list is
-	// kept in ascending QuestionID order. Guarded by structMu.
+	// kept in ascending QuestionID order.
 	byVerb    [][]QuestionID
 	byNoun    [][]QuestionID
 	wildcardQ []QuestionID
@@ -444,20 +394,16 @@ type SAS struct {
 	nq      int
 	nextID  QuestionID
 
-	stats statCounters
+	stats Stats
 
 	// remotes receive activation events this SAS exports (Section 4.2.3).
 	exports []exportRule
 	// links holds receiver-side state (expected sequence number, gap
-	// buffer) for each ReliableLink delivering into this SAS. Guarded by
-	// structMu in write mode.
+	// buffer) for each ReliableLink delivering into this SAS.
 	links map[*ReliableLink]*linkState
 
-	// record, when set, journals replayable operations (state.go); jmu
-	// serialises hook invocations. replaying suppresses journaling and
-	// export fan-out during Replay; it is written under structMu write
-	// and read under either mode.
-	jmu       sync.Mutex
+	// record, when set, journals replayable operations (state.go).
+	// replaying suppresses journaling and export fan-out during Replay.
 	record    func(Record)
 	replaying int
 
@@ -492,64 +438,52 @@ func New(opts Options) *SAS {
 		filter: opts.Filter,
 		obsT:   opts.Obs.Trace(),
 	}
-	s.carveShardColumns()
+	s.carveColumns()
 	return s
 }
 
-// initRows is the starting per-shard column capacity carved at
-// construction. Kept small: most shards hold a row or two, and the
-// slabs are zeroed on every SAS construction, so over-carving is a real
-// startup cost; a shard that outgrows its window just reallocates with
+// initRows is the starting column capacity carved at construction. Kept
+// small: a node holds a handful of active sentences, and the slab is
+// zeroed on every SAS construction, so over-carving is a real startup
+// cost; an active set that outgrows the window just reallocates with
 // ordinary append growth.
-const initRows = 4
+const initRows = 16
 
-// columnBuf is the embedded backing store for the initial shard column
+// columnBuf is the embedded backing store for the initial column
 // windows: one array per column type, part of the SAS allocation itself,
-// so constructing or resetting a SAS carves all its columns without
-// touching the allocator.
+// so constructing or resetting a SAS carves its columns without touching
+// the allocator.
 type columnBuf struct {
-	handles [numShards * initRows]nv.SentenceHandle
-	verbs   [numShards * initRows]nv.VerbHandle
-	sents   [numShards * initRows]*nv.Sentence
-	since   [numShards * initRows]vtime.Time
-	depth   [numShards * initRows]int32
-	origin  [numShards * initRows]*ReliableLink
+	handles [initRows]nv.SentenceHandle
+	verbs   [initRows]nv.VerbHandle
+	sents   [initRows]*nv.Sentence
+	since   [initRows]vtime.Time
+	depth   [initRows]int32
+	origin  [initRows]*ReliableLink
 }
 
-// carveShardColumns seeds every shard's columns with a capacity-initRows
-// window carved from the SAS's embedded column buffer. The buffer is
-// zeroed first, which both drops any old rows' sentence and link
-// pointers and restores the windows after a reset. Windows are carved
-// with full capacity ([lo:lo:hi]), so a shard that outgrows its window
-// reallocates its columns onto the heap with ordinary append growth and
-// never writes into a sibling's window.
-func (s *SAS) carveShardColumns() {
+// carveColumns empties the active set onto capacity-initRows windows of
+// the SAS's embedded column buffer. The buffer is zeroed first, which
+// both drops any old rows' sentence and link pointers and restores the
+// windows after a reset.
+func (s *SAS) carveColumns() {
 	b := &s.colBuf
 	*b = columnBuf{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		lo, hi := i*initRows, (i+1)*initRows
-		sh.handles = b.handles[lo:lo:hi]
-		sh.verbs = b.verbs[lo:lo:hi]
-		sh.sents = b.sents[lo:lo:hi]
-		sh.since = b.since[lo:lo:hi]
-		sh.depth = b.depth[lo:lo:hi]
-		sh.origin = b.origin[lo:lo:hi]
+	s.act = columns{
+		handles: b.handles[:0],
+		verbs:   b.verbs[:0],
+		sents:   b.sents[:0],
+		since:   b.since[:0],
+		depth:   b.depth[:0],
+		origin:  b.origin[:0],
 	}
 }
 
 // Node returns the node label.
 func (s *SAS) Node() int { return s.node }
 
-// shardOf picks the row shard for a sentence: the first noun handle,
-// falling back to the verb handle for noun-less sentences (precomputed
-// at intern time as the shard key).
-func (s *SAS) shardOf(sn *nv.Sentence) *shard {
-	return &s.shards[nv.ShardKeyOf(sn)%numShards]
-}
-
 // qstate returns the state of a registered question, or nil.
-// Callers hold structMu (either mode).
+// Callers hold structMu.
 func (s *SAS) qstate(id QuestionID) *questionState {
 	if id >= 0 && int(id) < len(s.qstates) {
 		return s.qstates[id]
@@ -597,15 +531,10 @@ func (s *SAS) addQuestion(q Question, cq *compiledQuestion) (QuestionID, error) 
 	// picks up already-active sentences. MatchesEvaluated counts the
 	// model-level rows×terms tests regardless of how many compares the
 	// verb-column reject skipped.
-	rows := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		rows += sh.rows()
-		for j := range st.all {
-			st.counts[j] += sh.countMatches(&st.all[j])
-		}
+	for j := range st.all {
+		st.counts[j] = s.act.countMatches(&st.all[j])
 	}
-	s.stats.matches.Add(int64(rows) * int64(len(st.all)))
+	s.stats.MatchesEvaluated += s.act.rows() * len(st.all)
 	s.recomputeGate(st, s.lastKnownTime())
 	return id, nil
 }
@@ -720,8 +649,8 @@ func removeQID(ids []QuestionID, id QuestionID) []QuestionID {
 // flips. This implements the boolean-variable protocol of Section 6.1:
 // the SAS module sets a flag to true whenever the requested array is
 // active, and dynamically inserted instrumentation checks the flag before
-// measuring. The callback runs with SAS locks held; it must not call
-// back into the SAS.
+// measuring. The callback runs under the SAS lock, on the goroutine whose
+// notification flipped the gate; it must not call back into the same SAS.
 func (s *SAS) Watch(id QuestionID, fn func(satisfied bool, at vtime.Time)) error {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
@@ -738,8 +667,7 @@ func (s *SAS) Watch(id QuestionID, fn func(satisfied bool, at vtime.Time)) error
 // list for sn's verb, the byNoun lists for each of sn's nouns, and the
 // wildcard list. The index is complete — a pattern matching sn is posted
 // under sn's verb, one of sn's nouns, or the wildcard list — so skipping
-// non-candidates never skips a potential match. Callers hold structMu
-// (either mode).
+// non-candidates never skips a potential match. Callers hold structMu.
 func (s *SAS) eachCandidate(sn *nv.Sentence, fn func(*questionState)) {
 	if s.nq == 0 {
 		return
@@ -828,31 +756,26 @@ func (s *SAS) Activate(sn nv.Sentence, at vtime.Time) {
 		ref := s.obsT.Begin(obs.StageSASActivate, p.Key(), s.node, at)
 		defer s.obsT.End(ref, at)
 	}
-	s.structMu.RLock()
+	s.structMu.Lock()
 	var pending []pendingSend
 	if s.journaling() {
-		s.journal(Record{Kind: RecActivate, Sentence: *p, At: at})
+		s.record(Record{Kind: RecActivate, Sentence: *p, At: at})
 	}
+	s.stats.Notifications++
 	switch {
 	case s.filter && !s.relevant(p):
-		s.stats.notifStored.Add(notifInc)
-		s.stats.ignored.Add(1)
+		s.stats.Ignored++
 	default:
-		sh := s.shardOf(p)
-		sh.mu.Lock()
-		sh.notif++
-		sh.stored++
-		if i := sh.find(nv.HandleOf(p)); i >= 0 {
-			sh.depth[i]++
-			sh.mu.Unlock()
+		s.stats.Stored++
+		if i := s.act.find(nv.HandleOf(p)); i >= 0 {
+			s.act.depth[i]++
 		} else {
-			sh.insert(p, at, 1, nil)
-			sh.mu.Unlock()
+			s.act.insert(p, at, 1, nil)
 			s.notifyQuestions(p, at, +1)
 			pending = s.collectExports(p, at, true)
 		}
 	}
-	s.structMu.RUnlock()
+	s.structMu.Unlock()
 	dispatch(pending)
 }
 
@@ -865,41 +788,34 @@ func (s *SAS) Deactivate(sn nv.Sentence, at vtime.Time) error {
 		ref := s.obsT.Begin(obs.StageSASDeactivate, p.Key(), s.node, at)
 		defer s.obsT.End(ref, at)
 	}
-	s.structMu.RLock()
+	s.structMu.Lock()
 	var pending []pendingSend
 	if s.journaling() {
-		s.journal(Record{Kind: RecDeactivate, Sentence: *p, At: at})
+		s.record(Record{Kind: RecDeactivate, Sentence: *p, At: at})
 	}
-	sh := s.shardOf(p)
-	sh.mu.Lock()
-	i := sh.find(nv.HandleOf(p))
+	s.stats.Notifications++
+	i := s.act.find(nv.HandleOf(p))
 	if i < 0 {
-		sh.mu.Unlock()
-		s.stats.notifStored.Add(notifInc)
 		filtered := s.filter && !s.relevant(p)
 		if filtered {
 			// A filtered sentence was never stored; its deactivation is
 			// likewise ignored.
-			s.stats.ignored.Add(1)
+			s.stats.Ignored++
 		}
-		s.structMu.RUnlock()
+		s.structMu.Unlock()
 		if filtered {
 			return nil
 		}
 		return fmt.Errorf("sas: deactivate of inactive sentence %v", sn)
 	}
-	sh.notif++
-	sh.stored++
-	sh.depth[i]--
-	if sh.depth[i] == 0 {
-		sh.removeAt(i)
-		sh.mu.Unlock()
+	s.stats.Stored++
+	s.act.depth[i]--
+	if s.act.depth[i] == 0 {
+		s.act.removeAt(i)
 		s.notifyQuestions(p, at, -1)
 		pending = s.collectExports(p, at, false)
-	} else {
-		sh.mu.Unlock()
 	}
-	s.structMu.RUnlock()
+	s.structMu.Unlock()
 	dispatch(pending)
 	return nil
 }
@@ -907,7 +823,7 @@ func (s *SAS) Deactivate(sn nv.Sentence, at vtime.Time) error {
 // notifyQuestions folds one insert (delta +1) or remove (delta -1)
 // transition into every candidate question: the per-term match counts
 // are adjusted and the gate recomputed, all without touching the active
-// set. Called with structMu held (either mode) and no shard locks.
+// set. Called with structMu held.
 func (s *SAS) notifyQuestions(sn *nv.Sentence, at vtime.Time, delta int32) {
 	s.eachCandidate(sn, func(st *questionState) {
 		s.applyTransition(st, sn, delta, at)
@@ -917,28 +833,24 @@ func (s *SAS) notifyQuestions(sn *nv.Sentence, at vtime.Time, delta int32) {
 // applyTransition updates one candidate's match counts for a transition
 // of sn and recomputes its gate.
 func (s *SAS) applyTransition(st *questionState, sn *nv.Sentence, delta int32, at vtime.Time) {
-	s.stats.evaluations.Add(1)
-	s.stats.matches.Add(int64(len(st.all)))
-	st.mu.Lock()
+	s.stats.Evaluations++
+	s.stats.MatchesEvaluated += len(st.all)
 	for i := range st.all {
 		if st.all[i].matches(sn) {
 			st.counts[i] += delta
 		}
 	}
-	s.updateGateLocked(st, at)
-	st.mu.Unlock()
+	s.updateGate(st, at)
 }
 
 // recomputeGate re-derives a question's gate from its current counts
 // (after registration or a restore).
 func (s *SAS) recomputeGate(st *questionState, at vtime.Time) {
-	s.stats.evaluations.Add(1)
-	st.mu.Lock()
-	s.updateGateLocked(st, at)
-	st.mu.Unlock()
+	s.stats.Evaluations++
+	s.updateGate(st, at)
 }
 
-func (s *SAS) updateGateLocked(st *questionState, at vtime.Time) {
+func (s *SAS) updateGate(st *questionState, at vtime.Time) {
 	now := s.gate(st, nil)
 	if now == st.satisfied {
 		return
@@ -959,7 +871,7 @@ func (s *SAS) updateGateLocked(st *questionState, at vtime.Time) {
 // Stats once per operation, not per test).
 type evalCtx struct {
 	extra   *nv.Sentence
-	matches int64
+	matches int
 }
 
 func (c *evalCtx) matchExtra(ct *cterm) bool {
@@ -968,9 +880,9 @@ func (c *evalCtx) matchExtra(ct *cterm) bool {
 }
 
 // gate computes a question's satisfied state from its match counts; a
-// non-nil ctx additionally treats the event sentence as active. The
-// question lock is held. Ordered questions scan the active set (they
-// need activation instants), everything else is count reads.
+// non-nil ctx additionally treats the event sentence as active. Ordered
+// questions scan the active set (they need activation instants),
+// everything else is count reads.
 func (s *SAS) gate(st *questionState, c *evalCtx) bool {
 	if st.expr != nil {
 		return s.gateExpr(st, st.expr, c)
@@ -1024,12 +936,11 @@ func (s *SAS) gateExpr(st *questionState, e *cexpr, c *evalCtx) bool {
 // (trigger) sentence, when present, is only eligible for the final term
 // and is considered activated "now" (no earlier than everything else).
 //
-// Each term is one batch column sweep per shard: the verb column rejects
-// rows on an integer compare, and only verb hits pay the noun test and
-// the since comparison. c.matches still counts every row visited — the
-// model-level test count — so statistics do not depend on the sweep's
-// short-circuiting. Shards are read-locked one at a time; the caller
-// holds no shard locks.
+// Each term is one batch column sweep: the verb column rejects rows on an
+// integer compare, and only verb hits pay the noun test and the since
+// comparison. c.matches still counts every row visited — the model-level
+// test count — so statistics do not depend on the sweep's
+// short-circuiting.
 func (s *SAS) evalOrdered(st *questionState, c *evalCtx) bool {
 	prev := vtime.Time(-1 << 62)
 	for i := range st.all {
@@ -1037,34 +948,18 @@ func (s *SAS) evalOrdered(st *questionState, c *evalCtx) bool {
 		last := i == len(st.all)-1
 		best := vtime.Time(-1)
 		found := false
-		for j := range s.shards {
-			sh := &s.shards[j]
-			sh.mu.RLock()
-			if c != nil {
-				c.matches += int64(sh.rows())
+		sh := &s.act
+		if c != nil {
+			c.matches += sh.rows()
+		}
+		for k, sn := range sh.sents {
+			if (!ct.anyVerb && sh.verbs[k] != ct.vh) || !ct.nounsMatch(sn) || sh.since[k].Before(prev) {
+				continue
 			}
-			if !ct.anyVerb {
-				for k, vh := range sh.verbs {
-					if vh != ct.vh || !ct.nounsMatch(sh.sents[k]) || sh.since[k].Before(prev) {
-						continue
-					}
-					if !found || sh.since[k].Before(best) {
-						best = sh.since[k]
-						found = true
-					}
-				}
-			} else {
-				for k, sn := range sh.sents {
-					if !ct.nounsMatch(sn) || sh.since[k].Before(prev) {
-						continue
-					}
-					if !found || sh.since[k].Before(best) {
-						best = sh.since[k]
-						found = true
-					}
-				}
+			if !found || sh.since[k].Before(best) {
+				best = sh.since[k]
+				found = true
 			}
-			sh.mu.RUnlock()
 		}
 		if !found && last && c != nil && c.matchExtra(ct) {
 			// The trigger fires after every stored activation.
@@ -1083,7 +978,7 @@ func (s *SAS) evalOrdered(st *questionState, c *evalCtx) bool {
 // match some term and the whole question must hold with the event treated
 // as active. For ordered questions the event must match the final
 // (measured) term and the earlier terms must be satisfied in activation
-// order. The question lock is held.
+// order.
 func (s *SAS) fires(st *questionState, c *evalCtx) bool {
 	if st.trig != nil {
 		if !c.matchExtra(st.trig) {
@@ -1121,27 +1016,12 @@ func (s *SAS) RecordEvent(sn nv.Sentence, at vtime.Time, value float64) int {
 		ref := s.obsT.Begin(obs.StageSASMatch, p.Key(), s.node, at)
 		defer s.obsT.End(ref, at)
 	}
-	s.structMu.RLock()
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
 	if s.journaling() {
-		s.journal(Record{Kind: RecEvent, Sentence: *p, At: at, Value: value})
+		s.record(Record{Kind: RecEvent, Sentence: *p, At: at, Value: value})
 	}
-	s.stats.events.Add(1)
-	c := evalCtx{extra: p}
-	hits := 0
-	scanned := int64(0)
-	s.eachCandidate(p, func(st *questionState) {
-		scanned++
-		st.mu.Lock()
-		if s.fires(st, &c) {
-			st.count += value
-			hits++
-		}
-		st.mu.Unlock()
-	})
-	s.stats.candidates.Add(scanned)
-	s.stats.matches.Add(c.matches)
-	s.structMu.RUnlock()
-	return hits
+	return s.measure(p, value, 0)
 }
 
 // RecordSpan charges a measured duration — low-level sentence sn active
@@ -1153,53 +1033,52 @@ func (s *SAS) RecordSpan(sn nv.Sentence, from, to vtime.Time, value vtime.Durati
 		ref := s.obsT.Begin(obs.StageSASMatch, p.Key(), s.node, from)
 		defer s.obsT.End(ref, to)
 	}
-	s.structMu.RLock()
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
 	if s.journaling() {
-		s.journal(Record{Kind: RecSpan, Sentence: *p, At: to, From: from, Dur: value})
+		s.record(Record{Kind: RecSpan, Sentence: *p, At: to, From: from, Dur: value})
 	}
-	s.stats.events.Add(1)
+	return s.measure(p, 0, value)
+}
+
+// measure charges one measured event for sentence p to every question it
+// satisfies — count onto the question's counter, span onto its event-time
+// accumulator (an event carries one of the two) — and returns the number
+// of questions charged. Called with structMu held.
+func (s *SAS) measure(p *nv.Sentence, count float64, span vtime.Duration) int {
+	s.stats.Events++
 	c := evalCtx{extra: p}
-	hits := 0
-	scanned := int64(0)
+	hits, scanned := 0, 0
 	s.eachCandidate(p, func(st *questionState) {
 		scanned++
-		st.mu.Lock()
 		if s.fires(st, &c) {
-			st.evTime += value
+			st.count += count
+			st.evTime += span
 			hits++
 		}
-		st.mu.Unlock()
 	})
-	s.stats.candidates.Add(scanned)
-	s.stats.matches.Add(c.matches)
-	s.structMu.RUnlock()
+	s.stats.CandidatesScanned += scanned
+	s.stats.MatchesEvaluated += c.matches
 	return hits
 }
 
 // Satisfied reports the current gate state of a question.
 func (s *SAS) Satisfied(id QuestionID) bool {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
 	st := s.qstate(id)
-	if st == nil {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.satisfied
+	return st != nil && st.satisfied
 }
 
 // Result returns the measurement state of a question as of instant now
 // (a currently-satisfied gate timer includes the open interval up to now).
 func (s *SAS) Result(id QuestionID, now vtime.Time) (Result, error) {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
 	st := s.qstate(id)
 	if st == nil {
 		return Result{}, fmt.Errorf("sas: unknown question %d", id)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	r := Result{
 		Question:      st.q,
 		Count:         st.count,
@@ -1214,22 +1093,10 @@ func (s *SAS) Result(id QuestionID, now vtime.Time) (Result, error) {
 }
 
 // Snapshot returns the active sentences sorted by activation time then
-// key — the Figure 5 view of the SAS. It takes structMu in write mode:
-// owning the structure outright is cheaper than read-locking every shard,
-// and snapshots are rare next to notifications.
+// key — the Figure 5 view of the SAS.
 func (s *SAS) Snapshot() []ActiveSentence {
 	s.structMu.Lock()
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].rows()
-	}
-	out := make([]ActiveSentence, 0, n)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for j := range sh.sents {
-			out = append(out, ActiveSentence{Sentence: *sh.sents[j], Since: sh.since[j], Depth: int(sh.depth[j])})
-		}
-	}
+	out := s.act.appendRows(make([]ActiveSentence, 0, s.act.rows()), nil)
 	s.structMu.Unlock()
 	sortSnapshot(out)
 	return out
@@ -1266,48 +1133,24 @@ func (s *SAS) Active(sn nv.Sentence) bool {
 		// never seen cannot be active.
 		return false
 	}
-	s.structMu.RLock()
-	sh := s.shardOf(p)
-	sh.mu.RLock()
-	ok := sh.find(nv.HandleOf(p)) >= 0
-	sh.mu.RUnlock()
-	s.structMu.RUnlock()
-	return ok
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
+	return s.act.find(nv.HandleOf(p)) >= 0
 }
 
 // Size returns the number of distinct active sentences.
 func (s *SAS) Size() int {
 	s.structMu.Lock()
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].rows()
-	}
-	s.structMu.Unlock()
-	return n
+	defer s.structMu.Unlock()
+	return s.act.rows()
 }
 
-// Stats returns a copy of the notification statistics. It takes structMu
-// only in read mode, then each shard's lock in read mode — the shard
-// counters are plain ints bumped inside the shard critical sections, so
-// the read lock is what keeps the snapshot from tearing.
+// Stats returns a copy of the notification statistics; the counters are
+// plain ints under the SAS lock, so the copy cannot tear.
 func (s *SAS) Stats() Stats {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
-	return s.statsSnapshot()
-}
-
-// statsSnapshot merges the atomic counters with the shard-local ones.
-// Called with structMu held in either mode.
-func (s *SAS) statsSnapshot() Stats {
-	st := s.stats.snapshot()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		st.Notifications += int(sh.notif)
-		st.Stored += int(sh.stored)
-		sh.mu.RUnlock()
-	}
-	return st
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
+	return s.stats
 }
 
 // IndexStats describes the question index: how many questions are
@@ -1322,8 +1165,8 @@ type IndexStats struct {
 
 // Index returns the current question-index statistics.
 func (s *SAS) Index() IndexStats {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
 	st := IndexStats{Questions: s.nq, WildcardPostings: len(s.wildcardQ)}
 	for _, ids := range s.byVerb {
 		st.VerbPostings += len(ids)
@@ -1334,25 +1177,10 @@ func (s *SAS) Index() IndexStats {
 	return st
 }
 
-// ShardSizes returns the number of active sentences held by each shard —
-// the occupancy distribution behind shard contention.
-func (s *SAS) ShardSizes() [numShards]int {
-	var out [numShards]int
-	s.structMu.RLock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out[i] = sh.rows()
-		sh.mu.RUnlock()
-	}
-	s.structMu.RUnlock()
-	return out
-}
-
-// ColumnStats describes the columnar active set of one SAS: total live
-// rows, total column capacity (rows the shards can hold without
-// growing), and the cumulative count of swap-remove compactions. Exposed
-// for the observability plane's nvmap_sas_column_* metrics.
+// ColumnStats describes the columnar active set of one SAS: live rows,
+// column capacity (rows the columns can hold without growing), and the
+// cumulative count of swap-remove compactions. Exposed for the
+// observability plane's nvmap_sas_column_* metrics.
 type ColumnStats struct {
 	Rows        int
 	Capacity    int
@@ -1361,31 +1189,19 @@ type ColumnStats struct {
 
 // Columns returns the current columnar-storage statistics.
 func (s *SAS) Columns() ColumnStats {
-	var out ColumnStats
-	s.structMu.RLock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out.Rows += len(sh.handles)
-		out.Capacity += cap(sh.handles)
-		out.Compactions += sh.compact
-		sh.mu.RUnlock()
-	}
-	s.structMu.RUnlock()
-	return out
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
+	return ColumnStats{Rows: s.act.rows(), Capacity: cap(s.act.handles), Compactions: s.act.compact}
 }
 
 // lastKnownTime returns a best-effort "now" for evaluating a question
-// added mid-run: the latest activation time seen. Called with structMu in
-// write mode.
+// added mid-run: the latest activation time seen. Called with structMu
+// held.
 func (s *SAS) lastKnownTime() vtime.Time {
 	var t vtime.Time
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, since := range sh.since {
-			if since.After(t) {
-				t = since
-			}
+	for _, since := range s.act.since {
+		if since.After(t) {
+			t = since
 		}
 	}
 	return t

@@ -453,6 +453,48 @@ func TestWatch(t *testing.T) {
 	}
 }
 
+// Watch callbacks and the SetRecorder hook run inside the notifying
+// operation, under the SAS lock — which is why both are documented as
+// must-not-call-back: a re-entrant call would self-deadlock.
+func TestHooksRunUnderTheLock(t *testing.T) {
+	s := New(Options{})
+	id, _ := s.AddQuestion(Q("q", T("Sum", "A")))
+	held := func() bool {
+		if s.structMu.TryLock() {
+			s.structMu.Unlock()
+			return false
+		}
+		return true
+	}
+	var flips, records int
+	if err := s.Watch(id, func(bool, vtime.Time) {
+		flips++
+		if !held() {
+			t.Error("Watch callback ran without the SAS lock")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetRecorder(func(Record) {
+		records++
+		if !held() {
+			t.Error("SetRecorder hook ran without the SAS lock")
+		}
+	})
+	s.Activate(sent("Sum", "A"), 1)
+	s.RecordEvent(sent("Send", "P"), 2, 1)
+	s.RecordSpan(sent("Send", "P"), 2, 3, 1)
+	if err := s.Deactivate(sent("Sum", "A"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if flips != 2 || records != 4 {
+		t.Fatalf("flips = %d, records = %d; want 2 and 4", flips, records)
+	}
+	if held() {
+		t.Fatal("SAS lock still held after the operations returned")
+	}
+}
+
 // Property: balanced activate/deactivate always leaves the SAS empty and
 // never errors, regardless of interleaving.
 func TestBalancedNotificationProperty(t *testing.T) {
@@ -591,9 +633,52 @@ func TestTermAndQuestionStrings(t *testing.T) {
 	}
 }
 
-func BenchmarkActivateDeactivate(b *testing.B) {
+// hotSAS returns a SAS carrying four questions of the shapes the
+// instrumented benchmark workload asks, warmed by one notification cycle
+// so columns, posting lists and the interner are at their steady state.
+func hotSAS(tb testing.TB) *SAS {
 	s := New(Options{})
-	_, _ = s.AddQuestion(Q("q", T("Sum", "A"), T("Send", Any)))
+	for _, q := range []Question{
+		Q("q1", T("Sum", "A")),
+		Q("q2", T("Send", Any)),
+		Q("q3", T("Sum", "A"), T("Send", Any)),
+		Q("q4", T("Max", Any), T("Send", Any)),
+	} {
+		if _, err := s.AddQuestion(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	notifyCycle(s, 0)
+	return s
+}
+
+// notifyCycle is one activation, one measured event and one
+// deactivation, each building its sentence the way monitoring code that
+// is handed raw arguments does.
+func notifyCycle(s *SAS, at vtime.Time) {
+	s.Activate(nv.NewSentence("Sum", "A"), at)
+	s.RecordEvent(nv.NewSentence("Send", "P"), at+1, 1)
+	_ = s.Deactivate(nv.NewSentence("Sum", "A"), at+2)
+}
+
+// The steady-state notification path allocates nothing: not for the
+// sentences, not in the SAS.
+func TestNotificationCycleAllocatesNothing(t *testing.T) {
+	s := hotSAS(t)
+	at := vtime.Time(10)
+	if n := testing.AllocsPerRun(200, func() {
+		notifyCycle(s, at)
+		at += 10
+	}); n != 0 {
+		t.Fatalf("a warmed Activate/RecordEvent/Deactivate cycle allocates %v times, want 0", n)
+	}
+	if st := s.Stats(); st.Notifications != st.Stored || st.Events == 0 {
+		t.Fatalf("cycle did not reach the SAS: %+v", st)
+	}
+}
+
+func BenchmarkActivateDeactivate(b *testing.B) {
+	s := hotSAS(b)
 	sn := sent("Sum", "A")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -604,8 +689,7 @@ func BenchmarkActivateDeactivate(b *testing.B) {
 }
 
 func BenchmarkRecordEvent(b *testing.B) {
-	s := New(Options{})
-	_, _ = s.AddQuestion(Q("q", T("Sum", "A"), T("Send", Any)))
+	s := hotSAS(b)
 	s.Activate(sent("Sum", "A"), 0)
 	ev := sent("Send", "P")
 	b.ReportAllocs()

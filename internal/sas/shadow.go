@@ -37,41 +37,31 @@ type Shadow struct {
 func (s *SAS) Capture(at vtime.Time, patterns ...Term) Shadow {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	sh := Shadow{CapturedAt: at}
-	for i := range s.shards {
-		shd := &s.shards[i]
-		for j, sn := range shd.sents {
-			if len(patterns) > 0 {
-				keep := false
-				for _, p := range patterns {
-					if p.Matches(*sn) {
-						keep = true
-						break
-					}
-				}
-				if !keep {
-					continue
+	var keep func(row int) bool
+	if len(patterns) > 0 {
+		keep = func(row int) bool {
+			for _, p := range patterns {
+				if p.Matches(*s.act.sents[row]) {
+					return true
 				}
 			}
-			sh.Entries = append(sh.Entries, ActiveSentence{Sentence: *sn, Since: shd.since[j], Depth: int(shd.depth[j])})
+			return false
 		}
 	}
-	return sh
+	return Shadow{CapturedAt: at, Entries: s.act.appendRows(nil, keep)}
 }
 
 // adjustCounts folds a shadow insert/remove of sn into the candidate
 // questions' match counts without recomputing gates: shadows affect only
 // the measurement being recorded, never satisfied-time accounting.
-// Called with structMu in write mode.
+// Called with structMu held.
 func (s *SAS) adjustCounts(sn *nv.Sentence, delta int32) {
 	s.eachCandidate(sn, func(st *questionState) {
-		st.mu.Lock()
 		for i := range st.all {
 			if st.all[i].matches(sn) {
 				st.counts[i] += delta
 			}
 		}
-		st.mu.Unlock()
 	})
 }
 
@@ -79,18 +69,16 @@ func (s *SAS) adjustCounts(sn *nv.Sentence, delta int32) {
 // (those not already present) and returns a restore function. Question
 // gate state is deliberately not re-evaluated: the match counts are
 // adjusted so event evaluation sees the shadow sentences, but satisfied
-// flags and timers are untouched. Called with structMu in write mode (a
-// shadowed measurement owns the structure).
+// flags and timers are untouched. Called with structMu held.
 func (s *SAS) installShadow(sh Shadow) func() {
 	var added []*nv.Sentence
 	for i := range sh.Entries {
 		a := &sh.Entries[i]
 		sn := nv.InternedPtr(&a.Sentence)
-		shd := s.shardOf(sn)
-		if shd.find(nv.HandleOf(sn)) >= 0 {
+		if s.act.find(nv.HandleOf(sn)) >= 0 {
 			continue
 		}
-		shd.insert(sn, a.Since, 1, nil)
+		s.act.insert(sn, a.Since, 1, nil)
 		s.adjustCounts(sn, +1)
 		added = append(added, sn)
 	}
@@ -98,8 +86,7 @@ func (s *SAS) installShadow(sh Shadow) func() {
 		// Row indexes are unstable across swap-removes, so each shadow
 		// row is re-found by handle at restore time.
 		for _, sn := range added {
-			shd := s.shardOf(sn)
-			shd.removeAt(shd.find(nv.HandleOf(sn)))
+			s.act.removeAt(s.act.find(nv.HandleOf(sn)))
 			s.adjustCounts(sn, -1)
 		}
 	}
@@ -112,24 +99,8 @@ func (s *SAS) RecordEventInContext(sh Shadow, sn nv.Sentence, at vtime.Time, val
 	p := nv.InternedPtr(&sn)
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	s.stats.events.Add(1)
-	restore := s.installShadow(sh)
-	defer restore()
-	c := evalCtx{extra: p}
-	hits := 0
-	scanned := int64(0)
-	s.eachCandidate(p, func(st *questionState) {
-		scanned++
-		st.mu.Lock()
-		if s.fires(st, &c) {
-			st.count += value
-			hits++
-		}
-		st.mu.Unlock()
-	})
-	s.stats.candidates.Add(scanned)
-	s.stats.matches.Add(c.matches)
-	return hits
+	defer s.installShadow(sh)()
+	return s.measure(p, value, 0)
 }
 
 // RecordSpanInContext is RecordSpan evaluated as if the shadow's
@@ -138,22 +109,6 @@ func (s *SAS) RecordSpanInContext(sh Shadow, sn nv.Sentence, from, to vtime.Time
 	p := nv.InternedPtr(&sn)
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	s.stats.events.Add(1)
-	restore := s.installShadow(sh)
-	defer restore()
-	c := evalCtx{extra: p}
-	hits := 0
-	scanned := int64(0)
-	s.eachCandidate(p, func(st *questionState) {
-		scanned++
-		st.mu.Lock()
-		if s.fires(st, &c) {
-			st.evTime += value
-			hits++
-		}
-		st.mu.Unlock()
-	})
-	s.stats.candidates.Add(scanned)
-	s.stats.matches.Add(c.matches)
-	return hits
+	defer s.installShadow(sh)()
+	return s.measure(p, 0, value)
 }

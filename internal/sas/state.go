@@ -40,8 +40,9 @@ type Record struct {
 
 // SetRecorder installs a journal hook invoked for every local (and
 // plain-remote) Activate, Deactivate, RecordEvent and RecordSpan — the
-// operations Replay can reproduce. The hook runs with the journal lock
-// held and must not call back into the SAS. Events arriving over a
+// operations Replay can reproduce. The hook runs under the SAS lock, on
+// the notifying goroutine, and must not call back into the same SAS.
+// Events arriving over a
 // ReliableLink are not journaled: the link retransmits them itself. A
 // nil fn removes the hook.
 func (s *SAS) SetRecorder(fn func(Record)) {
@@ -52,18 +53,9 @@ func (s *SAS) SetRecorder(fn func(Record)) {
 
 // journaling reports whether hot-path operations should build and emit
 // journal records; callers gate Record construction on it so the nil-hook
-// case costs one comparison. Callers hold structMu (either mode), which
-// is what makes the record/replaying reads safe.
+// case costs one comparison. Callers hold structMu.
 func (s *SAS) journaling() bool {
 	return s.record != nil && s.replaying == 0
-}
-
-// journal hands one operation to the recorder hook; jmu serialises hook
-// invocations from concurrent hot-path ops.
-func (s *SAS) journal(r Record) {
-	s.jmu.Lock()
-	s.record(r)
-	s.jmu.Unlock()
 }
 
 // Replay re-applies one journaled operation. During replay the journal
@@ -115,16 +107,8 @@ type State struct {
 func (s *SAS) ExportState() State {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	st := State{Node: s.node, Stats: s.statsSnapshot()}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for j, sn := range sh.sents {
-			if sh.origin[j] != nil {
-				continue
-			}
-			st.Active = append(st.Active, ActiveSentence{Sentence: *sn, Since: sh.since[j], Depth: int(sh.depth[j])})
-		}
-	}
+	st := State{Node: s.node, Stats: s.stats}
+	st.Active = s.act.appendRows(nil, func(row int) bool { return s.act.origin[row] == nil })
 	sort.Slice(st.Active, func(i, j int) bool {
 		return st.Active[i].Sentence.Key() < st.Active[j].Sentence.Key()
 	})
@@ -145,38 +129,18 @@ func (s *SAS) ExportState() State {
 	return st
 }
 
-// clearShards empties the active set in place. Callers hold structMu in
-// write mode (the shard locks themselves must not be copied or replaced).
-func (s *SAS) clearShards() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.notif = 0
-		sh.stored = 0
-		sh.compact = 0
-	}
-	// Fresh slab windows drop every old row (and its sentence pointers)
-	// in one move while restoring the carved-column invariant.
-	s.carveShardColumns()
-}
-
 // recountQuestions re-derives every question's per-term match counts from
 // the current active set, after a wholesale replacement of the entries.
-// Called with structMu in write mode; gate flags are not touched (the
-// caller restores them from its snapshot).
+// Called with structMu held; gate flags are not touched (the caller
+// restores them from its snapshot).
 func (s *SAS) recountQuestions() {
 	for _, st := range s.qstates {
 		if st == nil {
 			continue
 		}
-		for i := range st.counts {
-			st.counts[i] = 0
-		}
-		// One batch column sweep per term per shard.
-		for i := range s.shards {
-			sh := &s.shards[i]
-			for j := range st.all {
-				st.counts[j] += sh.countMatches(&st.all[j])
-			}
+		// One batch column sweep per term.
+		for j := range st.all {
+			st.counts[j] = s.act.countMatches(&st.all[j])
 		}
 	}
 }
@@ -189,11 +153,10 @@ func (s *SAS) recountQuestions() {
 func (s *SAS) RestoreState(st State) {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	s.clearShards()
+	s.carveColumns()
 	for i := range st.Active {
 		a := &st.Active[i]
-		sn := nv.InternedPtr(&a.Sentence)
-		s.shardOf(sn).insert(sn, a.Since, int32(a.Depth), nil)
+		s.act.insert(nv.InternedPtr(&a.Sentence), a.Since, int32(a.Depth), nil)
 	}
 	s.recountQuestions()
 	for _, qs := range st.Questions {
@@ -210,7 +173,7 @@ func (s *SAS) RestoreState(st State) {
 			q.watch(q.satisfied, qs.Since)
 		}
 	}
-	s.stats.restore(st.Stats)
+	s.stats = st.Stats
 }
 
 // Reset wipes the SAS in place — the fail-stop rebirth. The active set,
@@ -223,14 +186,14 @@ func (s *SAS) RestoreState(st State) {
 func (s *SAS) Reset() {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	s.clearShards()
+	s.carveColumns()
 	s.qstates = nil
 	s.nq = 0
 	s.byVerb = nil
 	s.byNoun = nil
 	s.wildcardQ = nil
 	s.nextID = 0
-	s.stats.restore(Stats{})
+	s.stats = Stats{}
 	s.links = nil
 }
 

@@ -66,7 +66,7 @@ func (a *AskedQuestion) Answer(now vtime.Time) (sas.Result, error) {
 func (m *Monitor) SnapshotWhen(pattern sas.Term) { m.snapshotWant = pattern }
 
 // Stats sums notification statistics over every node's SAS. It is a
-// thin shim over the same per-shard counters the observability plane's
+// thin shim over the same per-SAS counters the observability plane's
 // registry collectors read (exp_sas.go registers them as
 // nvmap_sas_*{sas="monitor"}), so the two views can never disagree.
 func (m *Monitor) Stats() sas.Stats { return m.Reg.TotalStats() }

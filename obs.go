@@ -180,7 +180,7 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 }
 
 // registerSASCollectors publishes one SAS registry's aggregate
-// notification statistics, question-index posting sizes and shard
+// notification statistics, question-index posting sizes and column
 // occupancy under a name prefix with a which label ("tool" for the
 // measurement tool's gating SASes, "monitor" for EnableSASMonitor's).
 func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Registry, nodes func() int) {
@@ -219,18 +219,6 @@ func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Regis
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.NounPostings) }))
 	r.Func(prefix+"_wildcard_postings"+lbl, "Wildcard question postings summed over the partition's SASes.",
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.WildcardPostings) }))
-	r.Func(prefix+"_shard_occupancy_max"+lbl, "Largest active-set shard across the partition's SASes.",
-		obs.KindGauge, false, func() float64 {
-			var max float64
-			for n := 0; n < nodes(); n++ {
-				for _, sz := range reg.Node(n).ShardSizes() {
-					if float64(sz) > max {
-						max = float64(sz)
-					}
-				}
-			}
-			return max
-		})
 	col := func(read func(sas.ColumnStats) float64) func() float64 {
 		return func() float64 {
 			var sum float64
@@ -242,9 +230,10 @@ func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Regis
 	}
 	r.Func(prefix+"_column_rows"+lbl, "Live columnar rows summed over the partition's SASes.",
 		obs.KindGauge, false, col(func(st sas.ColumnStats) float64 { return float64(st.Rows) }))
-	// Capacity and compaction counts follow the shard a sentence hashes
-	// to, and the sharding key is its process-wide interner handle —
-	// history-dependent, so both are unstable (the row total is not).
+	// Capacity and compaction counts describe the storage layout, not the
+	// program — resizing the carved window moves both with every answer
+	// unchanged — so they stay out of the byte-stable export (the row
+	// total does not).
 	r.Func(prefix+"_column_capacity"+lbl, "Columnar row capacity summed over the partition's SASes.",
 		obs.KindGauge, true, col(func(st sas.ColumnStats) float64 { return float64(st.Capacity) }))
 	r.Func(prefix+"_column_compactions_total"+lbl, "Swap-remove compactions summed over the partition's SASes.",

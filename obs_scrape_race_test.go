@@ -32,7 +32,7 @@ END
 // TestScrapeDuringRun hammers every obs HTTP endpoint while a session
 // executes under RunContext. Run with -race (the CI race job does) it
 // proves a concurrent scrape cannot tear or race the run's own
-// accounting: machine node stats, dyninst counters, SAS shard counters,
+// accounting: machine node stats, dyninst counters, SAS counters,
 // the channel ledger and the span ring are all either atomic or locked.
 // It also audits the handler contract: every endpoint answers 200 with
 // the right Content-Type even mid-run.
