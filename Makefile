@@ -1,4 +1,4 @@
-.PHONY: build test race bench pprof-events soak soak-smoke serve-smoke diagnose-smoke
+.PHONY: build test race bench pprof-events pprof-data soak soak-smoke serve-smoke diagnose-smoke
 
 build:
 	go build ./...
@@ -30,6 +30,16 @@ pprof-events:
 		-cpuprofile events_hot.cpu.pprof -memprofile events_hot.mem.pprof .
 	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/events_hot.cpu.pprof
 	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/events_hot.mem.pprof
+
+# The same for the data plane: BenchmarkDataHot is the data_hot workload's
+# op (executor, cmrts and machine are ~90 % of it).
+pprof-data:
+	mkdir -p .bench_build
+	go test -run '^$$' -bench BenchmarkDataHot -benchtime 300x \
+		-o .bench_build/nvmap.test -outputdir .bench_build \
+		-cpuprofile data_hot.cpu.pprof -memprofile data_hot.mem.pprof .
+	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/data_hot.cpu.pprof
+	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/data_hot.mem.pprof
 
 # Chaos soak: randomized composed-fault sessions under the race
 # detector, asserting the robustness contract (no process death, every

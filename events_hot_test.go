@@ -1,12 +1,18 @@
 package nvmap
 
-// The fully instrumented session of the benchmark's events_hot workload,
-// rebuilt here from an inline source so the notification path can be
-// profiled (BenchmarkEventsHot, `make pprof-events`) and pinned
-// (TestNotificationPathAllocatesNothing) without touching benchmark/.
+// The benchmark's two hot-loop workloads rebuilt here from an inline
+// source, so that each plane can be profiled and pinned without touching
+// benchmark/: the fully instrumented events_hot session for the
+// notification path (BenchmarkEventsHot, `make pprof-events`,
+// TestNotificationPathAllocatesNothing) and the lightly instrumented
+// data_hot session for the data plane — executor, cmrts, machine
+// (BenchmarkDataHot, `make pprof-data`,
+// TestWarmedLoopIterationAllocations).
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,6 +104,30 @@ func BenchmarkEventsHot(b *testing.B) {
 	}
 }
 
+// BenchmarkDataHot is one data_hot op per iteration: 8 nodes, 24
+// iterations of the six-statement loop over 16k-element arrays (2,048
+// elements per node), nvprof's four default metrics on the whole
+// program, no mapping, no questions — session build, run, final sample.
+func BenchmarkDataHot(b *testing.B) {
+	source := hotLoopSource(8, 2048, 24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSession(source, WithNodes(8), WithOutput(io.Discard))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range []string{"summations", "summation_time", "point_to_point_ops", "idle_time"} {
+			if _, err := s.Tool.EnableMetric(id, paradyn.WholeProgram()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		s.Tool.SampleAll(s.Now())
+	}
+}
+
 // TestNotificationPathAllocatesNothing pins the steady-state
 // notification path — dyninst fire, gating and monitor snippets, SAS —
 // at zero allocations on a gated, monitored 4-node torus session that
@@ -154,5 +184,31 @@ func TestNotificationPathAllocatesNothing(t *testing.T) {
 	}
 	if s.monitor.Stats().Events == events {
 		t.Error("the send fires and the routed message recorded no SAS events")
+	}
+}
+
+// TestWarmedLoopIterationAllocations pins what one more iteration of the
+// six-statement hot loop allocates on 8 nodes once every statement has
+// run: the argument slices the runtime's spans report (one per
+// statement), and nothing per dispatch, per node or per element — no
+// block argument strings, ID lists, reduction partials, evaluators or
+// temporaries. It was 42 before the executor cached its programs and the
+// runtime its scratch; it measures 6.
+func TestWarmedLoopIterationAllocations(t *testing.T) {
+	mallocs := func(iters int) uint64 {
+		s, err := NewSession(hotLoopSource(8, 64, iters), WithNodes(8), WithOutput(io.Discard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if per := float64(mallocs(101)-mallocs(1)) / 100; per > 12 {
+		t.Errorf("a warmed loop iteration allocates %.1f times, want at most 12", per)
 	}
 }

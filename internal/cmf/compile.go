@@ -58,6 +58,9 @@ type StmtInfo struct {
 	Intrinsic string
 	Arrays    []string
 	Block     *Block // nil for serial statements
+	// Slot numbers the parallel statements densely (0 for serial ones):
+	// the index of the statement's entry in an Executor's caches.
+	Slot int
 }
 
 // Options configures compilation.
@@ -81,6 +84,8 @@ type Compiled struct {
 	Blocks  []*Block
 	// ArrayOrder lists array names in declaration order.
 	ArrayOrder []string
+	// parallelStmts counts the statements that got a StmtInfo.Slot.
+	parallelStmts int
 }
 
 // Compile parses (if necessary the caller already has a Program),
@@ -144,6 +149,13 @@ func (c *compiler) checkScope(body []Stmt, loopVars []string) error {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *Decl:
+			// Fortran puts declarations before executable statements. One
+			// inside a loop would allocate again on every iteration; its
+			// absence is also what lets an Executor bind a statement's
+			// arrays once.
+			if len(loopVars) > 0 {
+				return errf(st.Ln, "declaration of %s inside a DO loop", st.Name)
+			}
 			if err := c.declare(st); err != nil {
 				return err
 			}
@@ -665,6 +677,8 @@ func (c *compiler) newBlock(infos []*StmtInfo) {
 	arrays := map[string]bool{}
 	for _, info := range infos {
 		info.Block = b
+		info.Slot = c.out.parallelStmts
+		c.out.parallelStmts++
 		b.Lines = append(b.Lines, info.Stmt.Line())
 		b.Stmts = append(b.Stmts, info.Stmt)
 		if info.Intrinsic != "" {

@@ -1,6 +1,7 @@
 package cmf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -140,6 +141,23 @@ func TestCompileSemanticErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := CompileSource(src, Options{}); err == nil {
 			t.Errorf("%s: accepted\n%s", name, src)
+		}
+	}
+}
+
+// A declaration inside a DO body used to compile: every iteration
+// allocated the array again (re-firing the allocation mapping point and
+// re-zeroing the data) and FreeAll released only the last one.
+func TestCompileRejectsDeclarationInLoop(t *testing.T) {
+	for name, src := range map[string]string{
+		"array":  "PROGRAM p\nREAL S\nDO K = 1, 3\nREAL A(8)\nA = A + 1.0\nS = SUM(A)\nEND DO\nEND\n",
+		"scalar": "PROGRAM p\nREAL A(8)\nDO K = 1, 3\nREAL S\nS = SUM(A)\nEND DO\nEND\n",
+		"nested": "PROGRAM p\nDO K = 1, 3\nDO J = 1, 2\nREAL A(8)\nEND DO\nEND DO\nEND\n",
+	} {
+		_, err := CompileSource(src, Options{})
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Line != 4 || !strings.Contains(se.Msg, "inside a DO loop") {
+			t.Errorf("%s: err = %v, want a line-4 declaration-in-loop error", name, err)
 		}
 	}
 }

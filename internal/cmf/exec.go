@@ -17,6 +17,11 @@ const serialCost = 500 * vtime.Nanosecond
 // dispatch, so the dyninst points the tool may have instrumented (block
 // entry/exit, runtime routines, mapping points) fire exactly as they
 // would in the real system.
+//
+// Elementwise statements (parallel assignment, WHERE, FORALL) are not
+// interpreted per element: each is lowered once to a vecProgram (see
+// vector.go) that the runtime runs over every node's section a strip at
+// a time.
 type Executor struct {
 	cp      *Compiled
 	rt      *cmrts.Runtime
@@ -24,6 +29,18 @@ type Executor struct {
 	scalars map[string]float64
 	arrays  map[string]*cmrts.Array
 	loops   map[string]float64
+
+	// progs caches the lowered elementwise statements by StmtInfo.Slot.
+	// The cache is the Executor's, not the Compiled's: a program binds
+	// this run's arrays and carries execution state.
+	progs []*vecProgram
+	// scratch backs the temporaries of whichever vecProgram is running;
+	// ids is execBlock's argument list. Both are reused by every
+	// statement, so a warmed loop iteration allocates neither. low is the
+	// lowering state, reused the same way.
+	scratch []float64
+	ids     []cmrts.ArrayID
+	low     lowerer
 }
 
 // NewExecutor binds a compiled program to a runtime. out receives PRINT
@@ -39,6 +56,7 @@ func NewExecutor(cp *Compiled, rt *cmrts.Runtime, out io.Writer) *Executor {
 		scalars: make(map[string]float64),
 		arrays:  make(map[string]*cmrts.Array),
 		loops:   make(map[string]float64),
+		progs:   make([]*vecProgram, cp.parallelStmts),
 	}
 }
 
@@ -159,15 +177,15 @@ func (e *Executor) execSerial(info *StmtInfo) error {
 
 // execBlock dispatches a node code block and executes its statements.
 func (e *Executor) execBlock(b *Block) error {
-	ids := make([]cmrts.ArrayID, 0, len(b.Arrays))
+	e.ids = e.ids[:0]
 	for _, name := range b.Arrays {
 		if a, ok := e.arrays[name]; ok {
-			ids = append(ids, a.ID)
+			e.ids = append(e.ids, a.ID)
 		}
 	}
-	return e.rt.DispatchBlock(b.Name, ids, func() error {
+	return e.rt.DispatchBlock(b.Name, e.ids, func() error {
 		for _, s := range b.Stmts {
-			if err := e.execParallelStmt(s, b); err != nil {
+			if err := e.execParallelStmt(s, b.Name); err != nil {
 				return err
 			}
 		}
@@ -175,18 +193,13 @@ func (e *Executor) execBlock(b *Block) error {
 	})
 }
 
-func (e *Executor) execParallelStmt(s Stmt, b *Block) error {
-	tag := b.Name
-	switch st := s.(type) {
-	case *Forall:
-		return e.execForall(st, tag)
-	case *Where:
-		return e.execWhere(st, tag)
-	case *Assign:
-		info := e.cp.Infos[st.Ln]
+func (e *Executor) execParallelStmt(s Stmt, tag string) error {
+	info := e.cp.Infos[s.Line()]
+	if info.Kind == KindCompute {
+		return e.execElementwise(info, tag)
+	}
+	if st, ok := s.(*Assign); ok {
 		switch info.Kind {
-		case KindCompute:
-			return e.execCompute(st, tag)
 		case KindReduce:
 			return e.execReduce(st, info, tag)
 		case KindTransform:
@@ -196,57 +209,47 @@ func (e *Executor) execParallelStmt(s Stmt, b *Block) error {
 	return errf(s.Line(), "internal: unexpected parallel statement %T", s)
 }
 
-// execCompute runs an elementwise parallel assignment. A right-hand side
-// with no array operands is a scalar fill: the control processor
-// broadcasts the value to the nodes (CM Fortran semantics for scalar
-// promotion), which is where Figure 9's Broadcasts come from.
-func (e *Executor) execCompute(st *Assign, tag string) error {
-	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	eval, flops, err := e.compileElem(st.RHS, &leaves, "")
-	if err != nil {
-		return err
-	}
-	if len(leaves) == 0 {
-		return e.rt.Fill(dst, eval(nil, 0), tag)
-	}
-	// The evaluator reads in (never retains or mutates it), so the
-	// runtime's gather slice is used directly.
-	return e.rt.Elementwise(tag, dst, leaves, flops, func(in []float64) float64 {
-		return eval(in, 0)
-	})
-}
-
-// execWhere runs a masked assignment: dst[i] = rhs[i] where the
-// condition holds, unchanged elsewhere. The destination participates as
-// a source so unmasked elements keep their values.
-func (e *Executor) execWhere(st *Where, tag string) error {
-	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	condL, fl1, err := e.compileElem(st.CondL, &leaves, "")
-	if err != nil {
-		return err
-	}
-	condR, fl2, err := e.compileElem(st.CondR, &leaves, "")
-	if err != nil {
-		return err
-	}
-	rhs, fl3, err := e.compileElem(st.RHS, &leaves, "")
-	if err != nil {
-		return err
-	}
-	// The old destination value is the final leaf.
-	oldSlot := len(leaves)
-	leaves = append(leaves, dst)
-	cmp, err := comparator(st.CondOp)
-	if err != nil {
-		return err
-	}
-	return e.rt.Elementwise(tag, dst, leaves, fl1+fl2+fl3+1, func(in []float64) float64 {
-		if cmp(condL(in, 0), condR(in, 0)) {
-			return rhs(in, 0)
+// execElementwise runs a parallel assignment, WHERE or FORALL: the
+// statement's vecProgram — lowered on its first execution, cached after —
+// computes every node's section in one Elementwise call.
+func (e *Executor) execElementwise(info *StmtInfo, tag string) error {
+	p := e.progs[info.Slot]
+	if p == nil {
+		var err error
+		if p, err = e.lower(info.Stmt); err != nil {
+			return err
 		}
-		return in[oldSlot]
+		e.progs[info.Slot] = p
+	}
+	dst := p.dst
+	// Scalars and loop variables have their value as of this execution.
+	for i, ex := range p.scalars {
+		v, err := e.evalScalar(ex)
+		if err != nil {
+			return err
+		}
+		p.vals[i] = v
+	}
+	srcs := p.leaves
+	switch {
+	case p.forall:
+		// A FORALL's compute points report the destination only.
+		srcs = nil
+	case len(srcs) == 0:
+		// A right-hand side with no array operands — the program's one
+		// scalar operand — is a scalar fill: the control processor
+		// broadcasts the value to the nodes (CM Fortran semantics for
+		// scalar promotion), which is where Figure 9's Broadcasts come
+		// from.
+		return e.rt.Fill(dst, p.vals[0], tag)
+	}
+	// Node 0 holds the longest section.
+	width := min(strip, dst.LocalLen(0))
+	if need := p.temps * width; len(e.scratch) < need {
+		e.scratch = make([]float64, need)
+	}
+	return e.rt.Elementwise(tag, dst, srcs, p.flops, func(node, lo int, out []float64) {
+		p.run(node, lo, out, e.scratch, width)
 	})
 }
 
@@ -267,25 +270,6 @@ func comparator(op string) (func(a, b float64) bool, error) {
 	default:
 		return nil, fmt.Errorf("cmf: internal: unknown comparison %q", op)
 	}
-}
-
-// execForall runs a FORALL statement as an indexed elementwise update.
-func (e *Executor) execForall(st *Forall, tag string) error {
-	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	eval, flops, err := e.compileElem(st.RHS, &leaves, st.Var)
-	if err != nil {
-		return err
-	}
-	// In a FORALL, leaves are read by flat index directly, gathered
-	// into one scratch vector for the whole statement.
-	vals := make([]float64, len(leaves))
-	return e.rt.ElementwiseIndexed(tag, dst, flops, func(flat int) float64 {
-		for k, a := range leaves {
-			vals[k] = a.At(flat)
-		}
-		return eval(vals, float64(flat+1))
-	})
 }
 
 func (e *Executor) execReduce(st *Assign, info *StmtInfo, tag string) error {
@@ -328,7 +312,7 @@ func (e *Executor) execTransform(st *Assign, info *StmtInfo, tag string) error {
 	// differ (Fortran transform intrinsics return a new value).
 	if dst != src {
 		if err := e.rt.Elementwise(tag, dst, []*cmrts.Array{src}, 1,
-			func(v []float64) float64 { return v[0] }); err != nil {
+			func(node, _ int, out []float64) { copy(out, src.Local(node)) }); err != nil {
 			return err
 		}
 	}
@@ -370,83 +354,6 @@ func (e *Executor) execTransform(st *Assign, info *StmtInfo, tag string) error {
 		return e.rt.Sort(dst, tag)
 	default:
 		return errf(st.Ln, "internal: unknown transform %s", info.Intrinsic)
-	}
-}
-
-// compileElem compiles an elementwise expression into an evaluator.
-// Array leaves are appended to *leaves in evaluation order; the evaluator
-// receives their per-element values in vals and the FORALL index value
-// (1-based) in idx. Scalar and loop-variable references are captured at
-// compile time — i.e., at statement execution, matching Fortran
-// semantics. flops estimates per-element arithmetic work.
-func (e *Executor) compileElem(ex Expr, leaves *[]*cmrts.Array, forallVar string) (func(vals []float64, idx float64) float64, int, error) {
-	switch x := ex.(type) {
-	case *Num:
-		v := x.Val
-		return func([]float64, float64) float64 { return v }, 0, nil
-	case *Ref:
-		if a, isArr := e.arrays[x.Name]; isArr {
-			slot := len(*leaves)
-			*leaves = append(*leaves, a)
-			return func(vals []float64, _ float64) float64 { return vals[slot] }, 0, nil
-		}
-		if forallVar != "" && x.Name == forallVar {
-			return func(_ []float64, idx float64) float64 { return idx }, 0, nil
-		}
-		v, err := e.evalScalar(x)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func([]float64, float64) float64 { return v }, 0, nil
-	case *Index:
-		a, ok := e.arrays[x.Name]
-		if !ok {
-			return nil, 0, fmt.Errorf("cmf: internal: indexed array %s unbound", x.Name)
-		}
-		slot := len(*leaves)
-		*leaves = append(*leaves, a)
-		return func(vals []float64, _ float64) float64 { return vals[slot] }, 0, nil
-	case *Unary:
-		inner, fl, err := e.compileElem(x.X, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(vals []float64, idx float64) float64 { return -inner(vals, idx) }, fl + 1, nil
-	case *Binary:
-		l, fl1, err := e.compileElem(x.L, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, fl2, err := e.compileElem(x.R, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		op := x.Op
-		return func(vals []float64, idx float64) float64 {
-			a, b := l(vals, idx), r(vals, idx)
-			switch op {
-			case '+':
-				return a + b
-			case '-':
-				return a - b
-			case '*':
-				return a * b
-			default:
-				return a / b
-			}
-		}, fl1 + fl2 + 1, nil
-	case *Call:
-		inner, fl, err := e.compileElem(x.Args[0], leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		fn, err := elemFn(x.Fn)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(vals []float64, idx float64) float64 { return fn(inner(vals, idx)) }, fl + 4, nil
-	default:
-		return nil, 0, fmt.Errorf("cmf: internal: unknown expression node %T", ex)
 	}
 }
 

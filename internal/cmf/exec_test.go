@@ -10,17 +10,24 @@ import (
 	"nvmap/internal/machine"
 )
 
-func runProgram(t *testing.T, src string, opts Options, nodes int) (*Executor, *cmrts.Runtime, string) {
+// newTestRuntime builds a runtime on a fresh default machine of nodes
+// nodes.
+func newTestRuntime(t *testing.T, nodes int) *cmrts.Runtime {
 	t.Helper()
 	m, err := machine.New(machine.DefaultConfig(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := dyninst.NewManager(dyninst.DefaultCosts(), m.AdvanceNode)
-	rt, err := cmrts.New(m, inst, cmrts.DefaultCosts())
+	rt, err := cmrts.New(m, dyninst.NewManager(dyninst.DefaultCosts(), m.AdvanceNode), cmrts.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rt
+}
+
+func runProgram(t *testing.T, src string, opts Options, nodes int) (*Executor, *cmrts.Runtime, string) {
+	t.Helper()
+	rt := newTestRuntime(t, nodes)
 	cp, err := CompileSource(src, opts)
 	if err != nil {
 		t.Fatal(err)

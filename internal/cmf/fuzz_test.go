@@ -20,6 +20,7 @@ func FuzzCompile(f *testing.F) {
 		"FORALL FORALL (",
 		"PROGRAM p\nREAL A(0)\nEND\n",
 		"PROGRAM p\nREAL A(8)\nA = B\nEND\n",
+		"PROGRAM p\nREAL S\nDO K = 1, 3\nREAL A(8)\nA = A + 1.0\nS = SUM(A)\nEND DO\nEND\n",
 	}
 	for _, s := range seeds {
 		f.Add(s, false)

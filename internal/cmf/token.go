@@ -5,7 +5,10 @@
 // blocks (with optional fusion, which produces the one-to-many mappings
 // of Figure 2), a compiler-listing emitter whose output cmd/pifgen parses
 // into PIF files, and an executor that runs compiled programs on the
-// simulated CM Run-Time System (package cmrts).
+// simulated CM Run-Time System (package cmrts). The executor computes a
+// node's section at a time: each elementwise statement is lowered once
+// to a short program of strip-wide vector instructions (vector.go), never
+// interpreted per element.
 //
 // The dialect covers what the paper's discussion needs: parallel array
 // declarations, parallel assignment statements with elementwise

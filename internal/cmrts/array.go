@@ -17,16 +17,18 @@ type ArrayID string
 // and program performance depends on the efficiency of their computation
 // and communication (Section 6.1).
 //
-// Data is stored row-major, block-distributed as contiguous flat chunks:
-// node n holds flat indices [Offsets[n], Offsets[n+1]). Real values are
-// carried so reductions and examples produce checkable results.
+// Data is stored row-major in one contiguous slab, block-distributed:
+// node n's local section is flat indices [offsets[n], offsets[n+1]) of
+// it. Real values are carried so reductions and examples produce
+// checkable results.
 type Array struct {
 	ID    ArrayID
 	Name  string
 	Shape []int
 
-	// chunks[n] is node n's local section; offsets has len nodes+1.
-	chunks  [][]float64
+	// data is the whole array; offsets (len nodes+1) tiles it into the
+	// nodes' sections.
+	data    []float64
 	offsets []int
 
 	freed bool
@@ -39,7 +41,16 @@ func (a *Array) Size() int { return a.offsets[len(a.offsets)-1] }
 func (a *Array) Rank() int { return len(a.Shape) }
 
 // LocalLen returns the number of elements node n holds.
-func (a *Array) LocalLen(n int) int { return len(a.chunks[n]) }
+func (a *Array) LocalLen(n int) int { return a.offsets[n+1] - a.offsets[n] }
+
+// Local returns node n's section as a live view of the array's storage:
+// what an elementwise kernel reads its operands through. The view is
+// capacity-clipped, so appending to it cannot reach a neighbour's
+// section.
+func (a *Array) Local(n int) []float64 {
+	lo, hi := a.offsets[n], a.offsets[n+1]
+	return a.data[lo:hi:hi]
+}
 
 // Subregion describes which contiguous flat slice of the array one node
 // stores — the data-to-processor mapping the runtime reports to the tool
@@ -57,44 +68,35 @@ func (s Subregion) String() string {
 
 // Subregions returns the data-to-node mapping.
 func (a *Array) Subregions() []Subregion {
-	out := make([]Subregion, 0, len(a.chunks))
-	for n := range a.chunks {
+	nodes := len(a.offsets) - 1
+	out := make([]Subregion, 0, nodes)
+	for n := 0; n < nodes; n++ {
 		out = append(out, Subregion{Node: n, Lo: a.offsets[n], Hi: a.offsets[n+1]})
 	}
 	return out
 }
 
-// HomeNode returns the node owning flat index i.
+// HomeNode returns the node owning flat index i (the last node for an
+// index past the end). It is blockOffsets in closed form: the first
+// size%nodes sections hold size/nodes+1 elements, the rest size/nodes.
 func (a *Array) HomeNode(i int) int {
-	for n := 0; n+1 < len(a.offsets); n++ {
-		if i < a.offsets[n+1] {
-			return n
-		}
+	size, nodes := a.Size(), len(a.offsets)-1
+	if i >= size {
+		return nodes - 1
 	}
-	return len(a.chunks) - 1
-}
-
-// At reads the element at flat index i (test/debug access; does not cost
-// simulated time).
-func (a *Array) At(i int) float64 {
-	n := a.HomeNode(i)
-	return a.chunks[n][i-a.offsets[n]]
-}
-
-// setAt writes the element at flat index i.
-func (a *Array) setAt(i int, v float64) {
-	n := a.HomeNode(i)
-	a.chunks[n][i-a.offsets[n]] = v
-}
-
-// Flat copies the whole array into one slice (test/debug access).
-func (a *Array) Flat() []float64 {
-	out := make([]float64, 0, a.Size())
-	for _, c := range a.chunks {
-		out = append(out, c...)
+	base, extra := size/nodes, size%nodes
+	if wide := extra * (base + 1); i >= wide {
+		return extra + (i-wide)/base
 	}
-	return out
+	return i / (base + 1)
 }
+
+// At reads the element at flat index i. It is host-side access for
+// tests and presentation: it costs no simulated time.
+func (a *Array) At(i int) float64 { return a.data[i] }
+
+// Flat copies the whole array into one slice (host-side access, like At).
+func (a *Array) Flat() []float64 { return append([]float64(nil), a.data...) }
 
 // shapeString renders "1024x1024".
 func shapeString(shape []int) string {
@@ -124,13 +126,4 @@ func blockOffsets(size, nodes int) []int {
 	}
 	offsets[nodes] = pos
 	return offsets
-}
-
-// applyPermutation rewrites the array's data so element old[i] lands at
-// flat index perm(i). perm must be a bijection on [0, Size).
-func applyPermutation(a *Array, perm func(int) int) {
-	old := a.Flat()
-	for i, v := range old {
-		a.setAt(perm(i), v)
-	}
 }

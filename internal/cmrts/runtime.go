@@ -12,6 +12,16 @@
 // allocation — Section 4.1's example). The runtime itself carries no
 // measurement code: the tool decides what to observe by inserting
 // snippets, exactly as the paper prescribes.
+//
+// A node's local section is the unit of work. An array is one contiguous
+// slab that the nodes' sections tile (Array.Local is a window on it):
+// Elementwise hands a statement's kernel one section per node, reductions
+// sweep a section, and CSHIFT/EOSHIFT derive their node-to-node transfer
+// counts from interval overlaps and move the data as block copies. Only
+// transposes and sorts, whose permutations are arbitrary, go element by
+// element (redistribute). The scratch these routines need lives on the
+// Runtime, so a warmed communication routine allocates nothing but the
+// argument slice its span reports.
 package cmrts
 
 import (
@@ -117,12 +127,16 @@ type Runtime struct {
 	// by tests to validate what the tool measures independently.
 	counts map[string]int
 
-	// xfer is the flat nodes × nodes scratch redistribute and Shift tally
-	// cross-node element counts in (xfer[src*nodes+dst]), kept so a
-	// CSHIFT, transpose or sort does not allocate a matrix each time.
-	// Reuse is safe because one goroutine drives a runtime and neither
-	// routine runs inside the other; transferScratch zeroes it on entry.
-	xfer []int
+	// xfer is the flat nodes × nodes scratch the data-movement routines
+	// tally cross-node element counts in (xfer[src*nodes+dst]); partial is
+	// the per-node scratch of Reduce and DotProduct; moved is where Rotate
+	// and redistribute park the old values while they rewrite an array.
+	// They are kept so that no communication routine allocates per call.
+	// Reuse is safe because one goroutine drives a runtime and no routine
+	// runs inside another; xfer and partial are zeroed on entry.
+	xfer    []int
+	partial []float64
+	moved   []float64
 
 	// Pre-resolved instrumentation points. The runtime fires points on
 	// every operation whether or not anything is attached, so the PointID
@@ -141,12 +155,31 @@ type pointPair struct {
 	entry, exit dyninst.PointRef
 }
 
-// blockPoints caches a dispatched block's resolved points and its
+// blockPoints caches a dispatched block's resolved points, its
 // ground-truth counter key (the "dispatch:"+name concatenation is hoisted
-// off the per-dispatch path along with the point hashes).
+// off the per-dispatch path along with the point hashes) and the argument
+// strings of its last dispatch. args is replaced, never mutated, when a
+// dispatch passes different IDs: snippets may hold Context.Args.
 type blockPoints struct {
 	pointPair
 	countKey string
+	args     []string
+}
+
+// argStrings returns ids as the block's Context.Args, reusing the last
+// dispatch's slice when the IDs are the same.
+func (bp *blockPoints) argStrings(ids []ArrayID) []string {
+	same := len(ids) == len(bp.args)
+	for i := 0; same && i < len(ids); i++ {
+		same = string(ids[i]) == bp.args[i]
+	}
+	if !same {
+		bp.args = make([]string, len(ids))
+		for i, id := range ids {
+			bp.args[i] = string(id)
+		}
+	}
+	return bp.args
 }
 
 // New builds a runtime on a machine. inst may not be nil: the runtime
@@ -311,23 +344,19 @@ func (rt *Runtime) Allocate(name string, shape []int) (*Array, error) {
 	rt.seq++
 	id := ArrayID("pvar" + strconv.Itoa(rt.seq))
 	offsets := blockOffsets(size, rt.nodes())
-	// One contiguous slab backs every node's chunk: block distribution
-	// means the windows tile it exactly, and a single allocation (plus
-	// better locality for cross-node sweeps) replaces one per node. Full
-	// capacity windows keep any later per-node regrowth private.
-	slab := make([]float64, size)
+	// One contiguous slab is the array: block distribution means the
+	// nodes' sections tile it exactly, so a section is a window (Local)
+	// and whole-array data movement is block copies.
 	a := &Array{
 		ID:      id,
 		Name:    name,
 		Shape:   append([]int(nil), shape...),
+		data:    make([]float64, size),
 		offsets: offsets,
-		chunks:  make([][]float64, rt.nodes()),
 	}
 	rt.fireSpan(RoutineAlloc, name, []string{string(id), name}, func() {
 		rt.parallelNodes(func(n int) {
-			lo, hi := offsets[n], offsets[n+1]
-			a.chunks[n] = slab[lo:hi:hi]
-			rt.mach.AdvanceNode(n, rt.costs.AllocPerElem.Scale(hi-lo))
+			rt.mach.AdvanceNode(n, rt.costs.AllocPerElem.Scale(a.LocalLen(n)))
 		})
 	})
 	rt.arrays[id] = a
@@ -391,23 +420,33 @@ func (rt *Runtime) Fill(a *Array, v float64, tag string) error {
 	rt.BroadcastScalar(v, tag)
 	rt.fireSpan(RoutineCompute, tag, []string{string(a.ID)}, func() {
 		rt.parallelNodes(func(n int) {
-			for i := range a.chunks[n] {
-				a.chunks[n][i] = v
+			local := a.Local(n)
+			for i := range local {
+				local[i] = v
 			}
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, len(local), tag)
 		})
 	})
 	return nil
 }
 
-// Elementwise computes dst[i] = fn(srcs[0][i], srcs[1][i], ...) on every
-// node's local section. flops scales the per-element cost (a
-// multiply-add is ~2). All operands must be conformable and identically
-// distributed, which holds for arrays of equal size in this runtime.
-// vals is the runtime's gather scratch, overwritten for the next
-// element: fn must not retain it.
-func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int, fn func(vals []float64) float64) error {
-	if err := checkLive(append([]*Array{dst}, srcs...)...); err != nil {
+// Kernel computes one node's section of an elementwise statement in
+// place: out is that node's live destination section, whose first element
+// has flat index lo. It reads its operands through Array.Local(node); an
+// operand element may be read before, never after, the same element of
+// out is written, so the destination may be among the operands.
+type Kernel func(node, lo int, out []float64)
+
+// Elementwise runs kernel once per node over dst's local section and
+// charges each node len(section)*flops elemental operations (a
+// multiply-add is ~2). srcs are the operand arrays the compute points
+// report after dst in Context.Args; they must be conformable with dst
+// and are therefore identically distributed.
+func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int, kernel Kernel) error {
+	if err := checkLive(dst); err != nil {
+		return err
+	}
+	if err := checkLive(srcs...); err != nil {
 		return err
 	}
 	if err := conformable(dst, srcs...); err != nil {
@@ -416,41 +455,16 @@ func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int,
 	if flops < 1 {
 		flops = 1
 	}
-	args := []string{string(dst.ID)}
-	for _, s := range srcs {
-		args = append(args, string(s.ID))
+	args := make([]string, 1+len(srcs))
+	args[0] = string(dst.ID)
+	for i, s := range srcs {
+		args[1+i] = string(s.ID)
 	}
 	rt.fireSpan(RoutineCompute, tag, args, func() {
-		vals := make([]float64, len(srcs))
 		rt.parallelNodes(func(n int) {
-			for i := range dst.chunks[n] {
-				for k, s := range srcs {
-					vals[k] = s.chunks[n][i]
-				}
-				dst.chunks[n][i] = fn(vals)
-			}
-			rt.mach.Compute(n, len(dst.chunks[n])*flops, tag)
-		})
-	})
-	return nil
-}
-
-// ElementwiseIndexed computes dst[i] = fn(i) over flat indices; used for
-// FORALL statements whose right-hand side depends on the index.
-func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, flops int, fn func(flat int) float64) error {
-	if err := checkLive(dst); err != nil {
-		return err
-	}
-	if flops < 1 {
-		flops = 1
-	}
-	rt.fireSpan(RoutineCompute, tag, []string{string(dst.ID)}, func() {
-		rt.parallelNodes(func(n int) {
-			base := dst.offsets[n]
-			for i := range dst.chunks[n] {
-				dst.chunks[n][i] = fn(base + i)
-			}
-			rt.mach.Compute(n, len(dst.chunks[n])*flops, tag)
+			out := dst.Local(n)
+			kernel(n, dst.offsets[n], out)
+			rt.mach.Compute(n, len(out)*flops, tag)
 		})
 	})
 	return nil
@@ -466,7 +480,7 @@ func (rt *Runtime) Reduce(a *Array, op ReduceOp, tag string) (float64, error) {
 	if err := checkLive(a); err != nil {
 		return 0, err
 	}
-	partial := make([]float64, rt.nodes())
+	partial := zeroed(&rt.partial, rt.nodes())
 	routine := op.Routine()
 	rt.fireSpan(routine, tag, []string{string(a.ID)}, func() {
 		// Local phase: each node reduces its own section (slot n of
@@ -480,8 +494,8 @@ func (rt *Runtime) Reduce(a *Array, op ReduceOp, tag string) (float64, error) {
 				partial[n] = identity(op)
 				return
 			}
-			partial[n] = localReduce(a.chunks[n], op)
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			partial[n] = localReduce(a.Local(n), op)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 		for stride := 1; stride < rt.nodes(); stride *= 2 {
 			for lo := 0; lo+stride < rt.nodes(); lo += 2 * stride {
@@ -560,18 +574,20 @@ func (rt *Runtime) DotProduct(a, b *Array, tag string) (float64, error) {
 	if err := conformable(a, b); err != nil {
 		return 0, err
 	}
-	partial := make([]float64, rt.nodes())
+	partial := zeroed(&rt.partial, rt.nodes())
 	rt.fireSpan(RoutineReduceSum, tag, []string{string(a.ID), string(b.ID)}, func() {
 		rt.parallelNodes(func(n int) {
 			if !rt.mach.Alive(n) {
 				return
 			}
+			av, bv := a.Local(n), b.Local(n)
+			bv = bv[:len(av)]
 			var s float64
-			for i, av := range a.chunks[n] {
-				s += av * b.chunks[n][i]
+			for i, x := range av {
+				s += x * bv[i]
 			}
 			partial[n] = s
-			rt.mach.Compute(n, 2*len(a.chunks[n]), tag)
+			rt.mach.Compute(n, 2*len(av), tag)
 		})
 		for stride := 1; stride < rt.nodes(); stride *= 2 {
 			for lo := 0; lo+stride < rt.nodes(); lo += 2 * stride {
@@ -595,14 +611,50 @@ func (rt *Runtime) BroadcastScalar(_ float64, tag string) {
 	})
 }
 
+// zeroed returns the scratch *buf at length n, all zero.
+func zeroed[T any](buf *[]T, n int) []T {
+	if len(*buf) != n {
+		*buf = make([]T, n)
+	} else {
+		clear(*buf)
+	}
+	return *buf
+}
+
 // transferScratch returns the runtime's transfer-count scratch, zeroed.
 func (rt *Runtime) transferScratch() []int {
-	if n := rt.nodes() * rt.nodes(); len(rt.xfer) != n {
-		rt.xfer = make([]int, n)
-	} else {
-		clear(rt.xfer)
+	return zeroed(&rt.xfer, rt.nodes()*rt.nodes())
+}
+
+// parkValues copies a's data into the runtime's moved scratch and returns
+// the copy: the old values a routine reads while it rewrites a in place.
+func (rt *Runtime) parkValues(a *Array) []float64 {
+	if cap(rt.moved) < len(a.data) {
+		rt.moved = make([]float64, len(a.data))
 	}
-	return rt.xfer
+	old := rt.moved[:len(a.data)]
+	copy(old, a.data)
+	return old
+}
+
+// countMoves tallies, for source elements [lo, hi) of a that all move by
+// shift without wrapping, how many travel from each source node to each
+// destination node. It intersects section intervals, so it costs
+// O(nodes) whatever the array's size: a source section lands on a run of
+// consecutive destination sections.
+func countMoves(counts []int, a *Array, lo, hi, shift int) {
+	nodes := len(a.offsets) - 1
+	for src := 0; src < nodes; src++ {
+		from, to := max(lo, a.offsets[src])+shift, min(hi, a.offsets[src+1])+shift
+		if from >= to {
+			continue
+		}
+		for dst := a.HomeNode(from); dst < nodes && a.offsets[dst] < to; dst++ {
+			if n := min(to, a.offsets[dst+1]) - max(from, a.offsets[dst]); n > 0 {
+				counts[src*nodes+dst] += n
+			}
+		}
+	}
 }
 
 // sendTransfers issues one point-to-point message per source/destination
@@ -622,8 +674,9 @@ func (rt *Runtime) sendTransfers(counts []int, tag string) {
 // redistribute moves data according to perm (a bijection on flat
 // indices): it counts how many elements travel from each source node to
 // each destination node, issues the point-to-point transfers that
-// implies, then rewrites the stored values. It is the common engine
-// behind rotations, transposes and sorts.
+// implies, then rewrites the stored values so old[i] lands at perm(i).
+// It is the generic engine, behind transposes and sorts; a rotation's
+// permutation is two intervals and takes the short cut in Rotate.
 func (rt *Runtime) redistribute(a *Array, perm func(int) int, tag string) {
 	nodes := rt.nodes()
 	counts := rt.transferScratch()
@@ -633,12 +686,18 @@ func (rt *Runtime) redistribute(a *Array, perm func(int) int, tag string) {
 		}
 	}
 	rt.sendTransfers(counts, tag)
-	applyPermutation(a, perm)
+	for i, v := range rt.parkValues(a) {
+		a.data[perm(i)] = v
+	}
 }
 
 // Rotate circularly shifts the flattened array by offset (CM Fortran
-// CSHIFT). Elements that cross chunk boundaries travel as point-to-point
-// messages between neighbouring nodes.
+// CSHIFT). Elements that cross section boundaries travel as
+// point-to-point messages between nodes. The permutation i -> (i+off)
+// mod size is two intervals, each moving by a constant, so the transfer
+// counts come from interval overlaps and the data moves as two block
+// copies — the same matrix, sends and result as redistribute with that
+// permutation, without the per-element work.
 func (rt *Runtime) Rotate(a *Array, offset int, tag string) error {
 	if err := checkLive(a); err != nil {
 		return err
@@ -649,9 +708,15 @@ func (rt *Runtime) Rotate(a *Array, offset int, tag string) error {
 	}
 	off := ((offset % size) + size) % size
 	rt.fireSpan(RoutineRotate, tag, []string{string(a.ID)}, func() {
-		rt.redistribute(a, func(i int) int { return (i + off) % size }, tag)
+		counts := rt.transferScratch()
+		countMoves(counts, a, 0, size-off, off)
+		countMoves(counts, a, size-off, size, off-size)
+		rt.sendTransfers(counts, tag)
+		old := rt.parkValues(a)
+		copy(a.data[off:], old[:size-off])
+		copy(a.data[:off], old[size-off:])
 		rt.parallelNodes(func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	return nil
@@ -667,29 +732,25 @@ func (rt *Runtime) Shift(a *Array, offset int, fill float64, tag string) error {
 	if size == 0 {
 		return nil
 	}
+	// Past ±size every element is shifted out alike.
+	offset = max(-size, min(size, offset))
 	rt.fireSpan(RoutineShift, tag, []string{string(a.ID)}, func() {
-		// Count cross-node movement of surviving elements.
-		nodes := rt.nodes()
+		// Elements [lo, hi) survive, all moving by offset: one interval
+		// to count and one block copy (copy is overlap-safe); what they
+		// vacate is filled.
+		lo, hi := max(0, -offset), min(size, size-offset)
 		counts := rt.transferScratch()
-		old := a.Flat()
-		next := make([]float64, size)
-		for i := range next {
-			next[i] = fill
-		}
-		for i := 0; i < size; i++ {
-			j := i + offset
-			if j < 0 || j >= size {
-				continue
-			}
-			next[j] = old[i]
-			counts[a.HomeNode(i)*nodes+a.HomeNode(j)]++
-		}
+		countMoves(counts, a, lo, hi, offset)
 		rt.sendTransfers(counts, tag)
-		for i, v := range next {
-			a.setAt(i, v)
+		copy(a.data[lo+offset:hi+offset], a.data[lo:hi])
+		for i := 0; i < lo+offset; i++ {
+			a.data[i] = fill
+		}
+		for i := hi + offset; i < size; i++ {
+			a.data[i] = fill
 		}
 		rt.parallelNodes(func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	return nil
@@ -712,7 +773,7 @@ func (rt *Runtime) Transpose(a *Array, tag string) error {
 		}
 		rt.redistribute(a, perm, tag)
 		rt.parallelNodes(func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	a.Shape[0], a.Shape[1] = cols, rows
@@ -730,7 +791,7 @@ func (rt *Runtime) Scan(a *Array, op ReduceOp, tag string) error {
 		carry := 0.0
 		haveCarry := false
 		for n := 0; n < rt.nodes(); n++ {
-			c := a.chunks[n]
+			c := a.Local(n)
 			for i := range c {
 				if i > 0 {
 					c[i] = combine(c[i-1], c[i], op)
@@ -762,7 +823,9 @@ func (rt *Runtime) Sort(a *Array, tag string) error {
 		return err
 	}
 	rt.fireSpan(RoutineSort, tag, []string{string(a.ID)}, func() {
-		old := a.Flat()
+		// a.data stays put until redistribute, so the ranking reads it
+		// in place.
+		old := a.data
 		idx := make([]int, len(old))
 		for i := range idx {
 			idx[i] = i
@@ -773,7 +836,7 @@ func (rt *Runtime) Sort(a *Array, tag string) error {
 			rank[i] = r
 		}
 		rt.parallelNodes(func(n int) {
-			local := len(a.chunks[n])
+			local := a.LocalLen(n)
 			cost := local * rt.costs.SortFactor * log2ceil(local)
 			rt.mach.Compute(n, cost, tag)
 		})
@@ -813,14 +876,12 @@ func (rt *Runtime) Cleanup(tag string) {
 // each node code block to the SAS" (Section 6.1). The tool implements
 // that notification as an inserted snippet; the runtime only delivers the
 // arguments.
+//
+// args is read during the call and not retained.
 func (rt *Runtime) DispatchBlock(name string, args []ArrayID, body func() error) error {
-	argStrings := make([]string, len(args))
-	argBytes := 16
-	for i, id := range args {
-		argStrings[i] = string(id)
-		argBytes += 8
-	}
 	bp := rt.block(name)
+	argStrings := bp.argStrings(args)
+	argBytes := 16 + 8*len(args)
 	rt.counts[bp.countKey]++
 	rt.mach.Dispatch(name, argBytes)
 

@@ -1,7 +1,9 @@
 package cmrts
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -32,11 +34,19 @@ func alloc(t *testing.T, rt *Runtime, name string, shape ...int) *Array {
 	return a
 }
 
+// setEach runs one Elementwise over a storing fn(flat index) in every
+// element: the indexed-update shape of a FORALL.
+func setEach(rt *Runtime, tag string, a *Array, fn func(i int) float64) error {
+	return rt.Elementwise(tag, a, nil, 1, func(_, lo int, out []float64) {
+		for i := range out {
+			out[i] = fn(lo + i)
+		}
+	})
+}
+
 func fillRamp(t *testing.T, rt *Runtime, a *Array) {
 	t.Helper()
-	if err := rt.ElementwiseIndexed("ramp", a, 1, func(i int) float64 {
-		return float64(i)
-	}); err != nil {
+	if err := setEach(rt, "ramp", a, func(i int) float64 { return float64(i) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,8 +160,11 @@ func TestElementwise(t *testing.T) {
 	if err := rt.Fill(b, 10, "fill"); err != nil {
 		t.Fatal(err)
 	}
-	err := rt.Elementwise("add", c, []*Array{a, b}, 1, func(v []float64) float64 {
-		return v[0] + v[1]
+	err := rt.Elementwise("add", c, []*Array{a, b}, 1, func(node, _ int, out []float64) {
+		av, bv := a.Local(node), b.Local(node)
+		for i := range out {
+			out[i] = av[i] + bv[i]
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +186,7 @@ func TestElementwiseValidation(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a := alloc(t, rt, "A", 10)
 	b := alloc(t, rt, "B", 20)
-	if err := rt.Elementwise("x", a, []*Array{b}, 1, func(v []float64) float64 { return v[0] }); err == nil {
+	if err := rt.Elementwise("x", a, []*Array{b}, 1, func(int, int, []float64) {}); err == nil {
 		t.Fatal("non-conformable accepted")
 	}
 	if err := rt.Elementwise("x", a, []*Array{nil}, 1, nil); err == nil {
@@ -318,7 +331,7 @@ func TestScanMax(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a := alloc(t, rt, "A", 5)
 	vals := []float64{3, 1, 4, 1, 5}
-	if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 { return vals[i] }); err != nil {
+	if err := setEach(rt, "init", a, func(i int) float64 { return vals[i] }); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Scan(a, OpMax, "SCANMAX"); err != nil {
@@ -335,7 +348,7 @@ func TestScanMax(t *testing.T) {
 func TestSort(t *testing.T) {
 	rt := newRuntime(t, 4)
 	a := alloc(t, rt, "A", 64)
-	if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 {
+	if err := setEach(rt, "init", a, func(i int) float64 {
 		return float64((i*37)%64) - 10
 	}); err != nil {
 		t.Fatal(err)
@@ -435,7 +448,7 @@ func TestRotateInverseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(i int) float64 { return float64(i * i) }); err != nil {
+		if err := setEach(rt, "i", a, func(i int) float64 { return float64(i * i) }); err != nil {
 			return false
 		}
 		before := a.Flat()
@@ -458,6 +471,129 @@ func TestRotateInverseProperty(t *testing.T) {
 	}
 }
 
+// scanHome is the linear scan over the section offsets that HomeNode's
+// closed form replaced.
+func scanHome(a *Array, i int) int {
+	for n := 0; n+1 < len(a.offsets); n++ {
+		if i < a.offsets[n+1] {
+			return n
+		}
+	}
+	return len(a.offsets) - 2
+}
+
+func TestHomeNodeMatchesOffsetScan(t *testing.T) {
+	for nodes := 1; nodes <= 9; nodes++ {
+		rt := newRuntime(t, nodes)
+		for size := 1; size <= 70; size++ {
+			a := alloc(t, rt, "A", size)
+			// Past the end both answer the last node.
+			for i := 0; i < size+nodes+2; i++ {
+				if got, want := a.HomeNode(i), scanHome(a, i); got != want {
+					t.Fatalf("size %d on %d nodes: HomeNode(%d) = %d, scan says %d", size, nodes, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// logSends records every point-to-point transfer a runtime makes, as the
+// CMRTS_send entry point reports it (sender, bytes) and as the machine
+// performs it (sender, receiver, bytes).
+func logSends(rt *Runtime) *[]string {
+	var log []string
+	rt.Inst().Insert(dyninst.Entry(RoutineSend), dyninst.Snippet{
+		Do: func(ctx dyninst.Context) {
+			log = append(log, fmt.Sprintf("point %d: %d B", ctx.Node, ctx.Bytes))
+		},
+	})
+	rt.Machine().Observe(func(e machine.Event) {
+		if e.Kind == machine.EvSend {
+			log = append(log, fmt.Sprintf("send %d->%d: %d B", e.Node, e.Peer, e.Bytes))
+		}
+	})
+	return &log
+}
+
+// Rotate counts its transfers from interval overlaps and moves the data
+// as block copies; the generic redistribute with the same permutation,
+// element by element, must produce the same transfer matrix, the same
+// sends in the same order, and the same data.
+func TestRotateMatchesGenericRedistribute(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 300; trial++ {
+		nodes := 1 + r.Intn(9)
+		size := 1 + r.Intn(70) // often below the node count: empty sections
+		offset := r.Intn(4*size+1) - 2*size
+		switch trial % 5 {
+		case 0:
+			offset = 0
+		case 1:
+			offset = size * (r.Intn(5) - 2)
+		}
+
+		fast, generic := newRuntime(t, nodes), newRuntime(t, nodes)
+		fastLog, genericLog := logSends(fast), logSends(generic)
+		a, b := alloc(t, fast, "A", size), alloc(t, generic, "A", size)
+		fillRamp(t, fast, a)
+		fillRamp(t, generic, b)
+
+		if err := fast.Rotate(a, offset, "r"); err != nil {
+			t.Fatal(err)
+		}
+		off := ((offset % size) + size) % size
+		generic.redistribute(b, func(i int) int { return (i + off) % size }, "r")
+
+		where := fmt.Sprintf("size %d, %d nodes, offset %d", size, nodes, offset)
+		if got, want := fmt.Sprint(fast.xfer), fmt.Sprint(generic.xfer); got != want {
+			t.Fatalf("%s: transfer matrix %s, generic %s", where, got, want)
+		}
+		if got, want := fmt.Sprint(*fastLog), fmt.Sprint(*genericLog); got != want {
+			t.Fatalf("%s: sends %s, generic %s", where, got, want)
+		}
+		if got, want := fmt.Sprint(a.Flat()), fmt.Sprint(b.Flat()); got != want {
+			t.Fatalf("%s: data %s, generic %s", where, got, want)
+		}
+	}
+}
+
+// Shift counts and moves the same way; its reference is the definition:
+// element i lands at i+offset if that is in range, the rest is fill, and
+// every surviving element that changes node is one element of a transfer.
+func TestShiftMatchesDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(7919))
+	for trial := 0; trial < 300; trial++ {
+		nodes := 1 + r.Intn(9)
+		size := 1 + r.Intn(70)
+		offset := r.Intn(2*size+5) - size - 2
+		rt := newRuntime(t, nodes)
+		a := alloc(t, rt, "A", size)
+		fillRamp(t, rt, a)
+
+		want := make([]float64, size)
+		counts := make([]int, nodes*nodes)
+		for i := range want {
+			want[i] = -1
+		}
+		for i := 0; i < size; i++ {
+			if j := i + offset; j >= 0 && j < size {
+				want[j] = float64(i)
+				counts[scanHome(a, i)*nodes+scanHome(a, j)]++
+			}
+		}
+		if err := rt.Shift(a, offset, -1, "s"); err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("size %d, %d nodes, offset %d", size, nodes, offset)
+		if got, want := fmt.Sprint(a.Flat()), fmt.Sprint(want); got != want {
+			t.Fatalf("%s: data %s, want %s", where, got, want)
+		}
+		if got, want := fmt.Sprint(rt.xfer), fmt.Sprint(counts); got != want {
+			t.Fatalf("%s: transfer matrix %s, want %s", where, got, want)
+		}
+	}
+}
+
 // Property: SUM equals the arithmetic sum of stored values for any fill
 // pattern and node count.
 func TestReduceSumProperty(t *testing.T) {
@@ -476,7 +612,7 @@ func TestReduceSumProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("init", a, 1, func(i int) float64 { return vals[i] }); err != nil {
+		if err := setEach(rt, "init", a, func(i int) float64 { return vals[i] }); err != nil {
 			return false
 		}
 		got, err := rt.Reduce(a, OpSum, "SUM")
@@ -504,7 +640,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(i int) float64 { return float64(3*i + 1) }); err != nil {
+		if err := setEach(rt, "i", a, func(i int) float64 { return float64(3*i + 1) }); err != nil {
 			return false
 		}
 		before := a.Flat()
