@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,29 +133,39 @@ func BenchmarkDataHot(b *testing.B) {
 // notification path — dyninst fire, gating and monitor snippets, SAS —
 // at zero allocations on a gated, monitored 4-node torus session that
 // has run once (the warm-up): a dispatch entry+exit fire carrying a
-// block and its array argument, a send entry+exit fire, and one message
-// routed across the interconnect.
+// block and its array argument, entry+exit fires alternating between two
+// blocks with different arguments (so the gating snippets re-resolve
+// their sentences on every fire), a send entry+exit fire, and one
+// message routed across the interconnect.
 func TestNotificationPathAllocatesNothing(t *testing.T) {
 	s, _ := hotSession(t, hotLoopSource(4, 4, 1), hotQuestions[1:3],
 		WithNodes(4), WithTopology(machine.Topology{GridX: 2, GridY: 2, Torus: true}))
-	// Borrow a real dispatch's tag and arguments for the fires below.
-	var dispatch dyninst.Context
+	// Borrow two real dispatches' tags and arguments for the fires below:
+	// the first with array arguments, and one of another block whose
+	// arguments differ.
+	var dispatch, other dyninst.Context
 	s.Inst.Insert(dyninst.Entry(cmrts.RoutineDispatch), dyninst.Snippet{
-		Name: "test: capture a dispatch",
+		Name: "test: capture two dispatches",
 		Do: func(ctx dyninst.Context) {
-			if len(dispatch.Args) == 0 && len(ctx.Args) > 0 {
+			switch {
+			case len(ctx.Args) == 0:
+			case len(dispatch.Args) == 0:
 				dispatch = ctx
 				dispatch.Args = append([]string(nil), ctx.Args...)
+			case len(other.Args) == 0 && ctx.Tag != dispatch.Tag && !slices.Equal(ctx.Args, dispatch.Args):
+				other = ctx
+				other.Args = append([]string(nil), ctx.Args...)
 			}
 		},
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(dispatch.Args) == 0 {
-		t.Fatal("no dispatch with array arguments seen during the warm-up run")
+	if len(dispatch.Args) == 0 || len(other.Args) == 0 {
+		t.Fatal("the warm-up run did not show two dispatches with different array arguments")
 	}
 	dispatch.Node, dispatch.Now = 0, s.Now()
+	other.Node, other.Now = 0, s.Now()
 	send := dyninst.Context{Node: 1, Now: s.Now(), Tag: dispatch.Tag, Bytes: 64}
 
 	before := s.Tool.SASes.TotalStats().Notifications + s.monitor.Stats().Notifications
@@ -166,6 +177,12 @@ func TestNotificationPathAllocatesNothing(t *testing.T) {
 		{"dispatch entry+exit fire", func() {
 			s.Inst.Fire(dyninst.Entry(cmrts.RoutineDispatch), dispatch)
 			s.Inst.Fire(dyninst.Exit(cmrts.RoutineDispatch), dispatch)
+		}},
+		{"alternating-block dispatch fires", func() {
+			for _, d := range []dyninst.Context{dispatch, other} {
+				s.Inst.Fire(dyninst.Entry(cmrts.RoutineDispatch), d)
+				s.Inst.Fire(dyninst.Exit(cmrts.RoutineDispatch), d)
+			}
 		}},
 		{"send entry+exit fire", func() {
 			s.Inst.Fire(dyninst.Entry(cmrts.RoutineSend), send)

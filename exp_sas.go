@@ -137,19 +137,13 @@ func wireSAS(s *Session, filter bool) *Monitor {
 		s.Inst.Insert(dyninst.Entry(b.Name), dyninst.Snippet{
 			Name: vocab.nameAct,
 			Do: func(ctx dyninst.Context) {
-				node := w.Reg.Node(ctx.Node)
-				for _, sn := range sentences {
-					node.Activate(sn, ctx.Now)
-				}
+				w.Reg.Node(ctx.Node).ActivateAll(sentences, ctx.Now)
 			},
 		})
 		s.Inst.Insert(dyninst.Exit(b.Name), dyninst.Snippet{
 			Name: vocab.nameDeact,
 			Do: func(ctx dyninst.Context) {
-				node := w.Reg.Node(ctx.Node)
-				for _, sn := range sentences {
-					_ = node.Deactivate(sn, ctx.Now)
-				}
+				_ = w.Reg.Node(ctx.Node).DeactivateAll(sentences, ctx.Now)
 			},
 		})
 	}

@@ -116,7 +116,8 @@ type Stats struct {
 	Fires      int // snippets whose action ran
 	Suppressed int // snippets whose predicate returned false
 	// Perturbation is the total virtual time charged to application nodes
-	// by instrumentation execution.
+	// by instrumentation execution: PerFire for each fire plus
+	// PerPredicate for each predicate evaluation, pass or fail.
 	Perturbation vtime.Duration
 }
 
@@ -209,7 +210,8 @@ func (m *Manager) Resolve(p PointID) PointRef {
 func (r PointRef) Fire(ctx Context) { r.m.fireAt(r.i, ctx) }
 
 // Insert adds a snippet at a point of the running image and returns a
-// removal handle.
+// removal handle. A snippet inserted while the point is firing runs from
+// the point's next fire.
 func (m *Manager) Insert(p PointID, s Snippet) Handle {
 	m.nextSeq++
 	i := m.index(p)
@@ -219,13 +221,16 @@ func (m *Manager) Insert(p PointID, s Snippet) Handle {
 }
 
 // Remove deletes a previously inserted snippet. Removing twice is an
-// error.
+// error. The point gets a fresh snippet list rather than an edited one,
+// so a fire in progress — a snippet removing itself or a sibling —
+// finishes the list it started with.
 func (m *Manager) Remove(h Handle) error {
 	if i, ok := m.ids[h.point]; ok {
 		list := m.lists[i]
 		for j, ins := range list {
 			if ins.seq == h.seq {
-				m.lists[i] = append(list[:j], list[j+1:]...)
+				// The capped prefix forces append to copy.
+				m.lists[i] = append(list[:j:j], list[j+1:]...)
 				m.stats.removed.Add(1)
 				return nil
 			}
@@ -261,25 +266,24 @@ func (m *Manager) Fire(p PointID, ctx Context) {
 	}
 }
 
-// fireAt runs the snippet list at point index i. Stats are batched into
-// at most one atomic add per counter per call — with snippets attached,
-// the two adds per snippet were the next cost after the name hash.
+// fireAt runs the snippet list at point index i. It adds to the fire
+// counter once per call and to the evaluation and suppression counters
+// only when a predicate ran; perturbation is derived from the counters
+// (see Stats), so a fire of unguarded snippets costs one atomic add.
 func (m *Manager) fireAt(i int32, ctx Context) {
 	list := m.lists[i]
 	if len(list) == 0 {
 		return
 	}
-	var cost vtime.Duration
-	fires, suppressed := 0, 0
+	fires, evals, suppressed := 0, 0, 0
 	for _, ins := range list {
 		if ins.snippet.When != nil {
-			cost += m.costs.PerPredicate
+			evals++
 			if !ins.snippet.When(ctx) {
 				suppressed++
 				continue
 			}
 		}
-		cost += m.costs.PerFire
 		fires++
 		if ins.snippet.Do != nil {
 			ins.snippet.Do(ctx)
@@ -288,12 +292,14 @@ func (m *Manager) fireAt(i int32, ctx Context) {
 	if fires > 0 {
 		m.stats.fires.Add(int64(fires))
 	}
-	if suppressed > 0 {
-		m.stats.suppressed.Add(int64(suppressed))
+	if evals > 0 {
+		m.stats.evaluations.Add(int64(evals))
+		if suppressed > 0 {
+			m.stats.suppressed.Add(int64(suppressed))
+		}
 	}
-	if cost > 0 {
-		m.stats.perturbation.Add(int64(cost))
-		if m.perturb != nil && ctx.Node >= 0 {
+	if m.perturb != nil && ctx.Node >= 0 {
+		if cost := m.costs.PerFire.Scale(fires) + m.costs.PerPredicate.Scale(evals); cost > 0 {
 			m.perturb(ctx.Node, cost)
 		}
 	}
@@ -322,23 +328,27 @@ func (m *Manager) ActivePoints() []PointID {
 	return out
 }
 
-// managerStats is the internal atomic mirror of Stats.
+// managerStats is the internal atomic mirror of Stats. Perturbation is
+// not stored: the cost model is fixed at NewManager, so it is exactly
+// PerFire×fires + PerPredicate×evaluations.
 type managerStats struct {
-	inserted     atomic.Int64
-	removed      atomic.Int64
-	fires        atomic.Int64
-	suppressed   atomic.Int64
-	perturbation atomic.Int64
+	inserted    atomic.Int64
+	removed     atomic.Int64
+	fires       atomic.Int64
+	suppressed  atomic.Int64
+	evaluations atomic.Int64 // predicate evaluations, pass or fail
 }
 
 // Stats returns a copy of the instrumentation statistics. Safe to call
 // while the session runs.
 func (m *Manager) Stats() Stats {
+	fires := int(m.stats.fires.Load())
+	evals := int(m.stats.evaluations.Load())
 	return Stats{
 		Inserted:     int(m.stats.inserted.Load()),
 		Removed:      int(m.stats.removed.Load()),
-		Fires:        int(m.stats.fires.Load()),
+		Fires:        fires,
 		Suppressed:   int(m.stats.suppressed.Load()),
-		Perturbation: vtime.Duration(m.stats.perturbation.Load()),
+		Perturbation: m.costs.PerFire.Scale(fires) + m.costs.PerPredicate.Scale(evals),
 	}
 }

@@ -283,32 +283,100 @@ func TestTimerBalanceProperty(t *testing.T) {
 	}
 }
 
-// Property: perturbation equals PerFire*fires + PerPredicate*evaluations.
+// Property: perturbation equals PerFire*fires + PerPredicate*evaluations
+// at a point mixing guarded and unguarded snippets. The callback is
+// charged only for contexts naming a node (Node -1 is the control
+// processor), Stats counts every fire, and a manager without a callback
+// keeps the same statistics.
 func TestPerturbationAccountingProperty(t *testing.T) {
-	f := func(gates []bool) bool {
+	f := func(ops []uint8) bool {
 		costs := CostModel{PerFire: 7, PerPredicate: 3}
 		var charged vtime.Duration
-		m := NewManager(costs, func(node int, d vtime.Duration) { charged += d })
-		i := 0
-		m.Insert(Entry("f"), Snippet{
-			When: func(Context) bool { return gates[i] },
-			Do:   func(Context) {},
-		})
-		var wantFires, wantEvals int
-		for i = 0; i < len(gates); i++ {
-			m.Fire(Entry("f"), Context{Node: 0})
-			wantEvals++
-			if gates[i] {
-				wantFires++
+		withCB := NewManager(costs, func(node int, d vtime.Duration) { charged += d })
+		noCB := NewManager(costs, nil)
+		var op uint8
+		for _, m := range []*Manager{withCB, noCB} {
+			m.Insert(Entry("f"), Snippet{Do: func(Context) {}})
+			m.Insert(Entry("f"), Snippet{When: func(Context) bool { return op&1 != 0 }, Do: func(Context) {}})
+			m.Insert(Entry("f"), Snippet{})
+			m.Insert(Entry("f"), Snippet{When: func(Context) bool { return op&2 != 0 }})
+			m.Insert(Exit("f"), Snippet{Do: func(Context) {}})
+		}
+		var fires, evals, suppressed int
+		var wantCharged vtime.Duration
+		for _, op = range ops {
+			ctx := Context{Node: int(op>>2)%3 - 1}
+			// The entry runs two unguarded snippets and two guarded ones
+			// (bits 0 and 1 pass them); the exit one unguarded snippet.
+			p, guards, passed, unguarded := Entry("f"), 2, 0, 2
+			if op&1 != 0 {
+				passed++
+			}
+			if op&2 != 0 {
+				passed++
+			}
+			if op&32 != 0 {
+				p, guards, passed, unguarded = Exit("f"), 0, 0, 1
+			}
+			withCB.Fire(p, ctx)
+			noCB.Fire(p, ctx)
+			fires += unguarded + passed
+			evals += guards
+			suppressed += guards - passed
+			if ctx.Node >= 0 {
+				wantCharged += costs.PerFire.Scale(unguarded+passed) + costs.PerPredicate.Scale(guards)
 			}
 		}
-		want := costs.PerFire.Scale(wantFires) + costs.PerPredicate.Scale(wantEvals)
-		st := m.Stats()
-		return charged == want && st.Perturbation == want &&
-			st.Fires == wantFires && st.Suppressed == wantEvals-wantFires
+		want := Stats{
+			Inserted:     5,
+			Fires:        fires,
+			Suppressed:   suppressed,
+			Perturbation: costs.PerFire.Scale(fires) + costs.PerPredicate.Scale(evals),
+		}
+		return charged == wantCharged && withCB.Stats() == want && noCB.Stats() == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A snippet that removes itself or a sibling mid-fire must not disturb
+// the fire in progress: every snippet of the list the fire started with
+// runs once, in order, and the removal shows from the next fire. A
+// snippet inserted mid-fire likewise runs from the next fire.
+func TestRemoveAndInsertDuringFire(t *testing.T) {
+	m := NewManager(CostModel{}, nil)
+	var order []string
+	var self, sibling Handle
+	self = m.Insert(Entry("f"), Snippet{Name: "a", Do: func(Context) {
+		order = append(order, "a")
+		if err := m.Remove(self); err != nil {
+			t.Error(err)
+		}
+		m.Insert(Entry("f"), Snippet{Name: "d", Do: func(Context) { order = append(order, "d") }})
+	}})
+	removed := false
+	m.Insert(Entry("f"), Snippet{Name: "b", Do: func(Context) {
+		order = append(order, "b")
+		if !removed {
+			removed = true
+			if err := m.Remove(sibling); err != nil {
+				t.Error(err)
+			}
+		}
+	}})
+	sibling = m.Insert(Entry("f"), Snippet{Name: "c", Do: func(Context) { order = append(order, "c") }})
+	m.Fire(Entry("f"), Context{})
+	if got := strings.Join(order, " "); got != "a b c" {
+		t.Fatalf("first fire ran [%s], want [a b c]", got)
+	}
+	order = nil
+	m.Fire(Entry("f"), Context{})
+	if got := strings.Join(order, " "); got != "b d" {
+		t.Fatalf("second fire ran [%s], want [b d]", got)
+	}
+	if st := m.Stats(); st.Fires != 5 || st.Removed != 2 || st.Inserted != 4 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -725,6 +725,11 @@ func (cs *consultSession) rerunRoute(tool *Tool, run func() error, stmt string, 
 		// it cannot have sent anything.
 		return diagnose.Measurement{Source: diagnose.SourceRerun}, nil
 	}
+	// Resolve the blocks' sentences before the run, not per routed message.
+	sents := make([]nv.Sentence, len(blocks))
+	for i, blk := range blocks {
+		sents[i] = tool.blockSentence(blk)
+	}
 	var linkBytes, stmtBytes float64
 	tool.mach.OnRoute(func(from, to, bytes int, links []machine.Link, at vtime.Time) {
 		crosses := link == nil && len(links) > 0
@@ -745,8 +750,8 @@ func (cs *consultSession) rerunRoute(tool *Tool, run func() error, stmt string, 
 		}
 		linkBytes += float64(bytes)
 		s := tool.SASes.Node(from)
-		for _, blk := range blocks {
-			if s.Active(nv.NewSentence(VerbBlockExec, nv.NounID(blk))) {
+		for i := range sents {
+			if s.Active(sents[i]) {
 				stmtBytes += float64(bytes)
 				return
 			}

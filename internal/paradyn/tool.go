@@ -85,6 +85,15 @@ type Tool struct {
 	// one per event.
 	blockSents map[string]nv.Sentence
 	arraySents map[string]nv.Sentence
+	// gate holds the gating sentences of the last dispatch seen (see
+	// dispatchSentences): every node fires the dispatcher with the same
+	// block and arguments, so they are resolved once per dispatch, not
+	// once per node.
+	gate []nv.Sentence
+
+	// idleEntry and idleExit are the idle pseudo-points, resolved once so
+	// an idle interval fires them without hashing their names.
+	idleEntry, idleExit dyninst.PointRef
 
 	// Static mapping indexes from PIF.
 	stmtBlocks map[string][]string // statement noun -> block function names
@@ -275,6 +284,8 @@ func New(rt *cmrts.Runtime, lib *mdl.Library, opts Options) (*Tool, error) {
 	// Under the Backpressure policy a full channel stalls the sender
 	// while the data manager drains — the lossless option.
 	t.channel.OnBackpressure(t.drainChannel)
+	t.idleEntry = t.inst.Resolve(dyninst.Entry(IdleRoutine))
+	t.idleExit = t.inst.Resolve(dyninst.Exit(IdleRoutine))
 	t.buildBaseHierarchies()
 	t.mach.Observe(t.machineEvent)
 	return t, nil
@@ -353,9 +364,9 @@ func (t *Tool) sampleInterval() vtime.Duration {
 func (t *Tool) machineEvent(e machine.Event) {
 	if e.Kind == machine.EvIdle && e.Node >= 0 {
 		ctx := dyninst.Context{Node: e.Node, Now: e.Start, Tag: e.Tag}
-		t.inst.Fire(dyninst.Entry(IdleRoutine), ctx)
+		t.idleEntry.Fire(ctx)
 		ctx.Now = e.End
-		t.inst.Fire(dyninst.Exit(IdleRoutine), ctx)
+		t.idleExit.Fire(ctx)
 	}
 	if t.shed == 0 || t.channel.Pending() >= shedDrainFloor<<uint(t.shed-1) {
 		t.drainChannel()
@@ -655,12 +666,52 @@ func (t *Tool) arraySentence(id string) nv.Sentence {
 	return resolved(t.arraySents, VerbArrayActive, id)
 }
 
+// dispatchSentences returns the sentences a dispatch of block tag with
+// arguments args activates (on) and deactivates (off). Both are windows
+// on one list, [{tag BlockExecutes}, {a1 ArrayActive} … {an
+// ArrayActive}, {tag BlockExecutes}]: on is its first n+1 entries, in the
+// entry snippet's activation order, off its last n+1, in the exit
+// snippet's deactivation order. The list of the previous dispatch is
+// reused when the block and arguments equal, by content, the nouns of
+// its sentences — a few short string compares — and rebuilt in place
+// otherwise, growing only for a wider dispatch. The windows are valid
+// until the next call.
+func (t *Tool) dispatchSentences(tag string, args []string) (on, off []nv.Sentence) {
+	g := t.gate
+	if !sameDispatch(g, tag, args) {
+		if n := len(args) + 2; cap(g) < n {
+			g = make([]nv.Sentence, 0, n)
+		}
+		g = append(g[:0], t.blockSentence(tag))
+		for _, id := range args {
+			g = append(g, t.arraySentence(id))
+		}
+		g = append(g, g[0])
+		t.gate = g
+	}
+	return g[:len(g)-1], g[1:]
+}
+
+// sameDispatch reports whether list g was built by dispatchSentences for
+// block tag and arguments args.
+func sameDispatch(g []nv.Sentence, tag string, args []string) bool {
+	if len(g) != len(args)+2 || string(g[0].Nouns[0]) != tag {
+		return false
+	}
+	for i, id := range args {
+		if string(g[i+1].Nouns[0]) != id {
+			return false
+		}
+	}
+	return true
+}
+
 // EnableGating inserts the dispatcher snippet that maintains the per-node
 // SAS sentences for array and block activity: "the CMRTS node code block
 // dispatcher notifies the SAS of array activation/deactivation by
 // sending the input arguments for each node code block to the SAS"
-// (Section 6.1). Metric predicates for array and statement foci read
-// these sentences.
+// (Section 6.1). Each fire is one notification batch to the node's SAS.
+// Metric predicates for array and statement foci read these sentences.
 func (t *Tool) EnableGating() {
 	if t.gating {
 		return
@@ -669,21 +720,15 @@ func (t *Tool) EnableGating() {
 	t.inst.Insert(dyninst.Entry(cmrts.RoutineDispatch), dyninst.Snippet{
 		Name: "paradyn gating: block entry",
 		Do: func(ctx dyninst.Context) {
-			s := t.SASes.Node(ctx.Node)
-			s.Activate(t.blockSentence(ctx.Tag), ctx.Now)
-			for _, id := range ctx.Args {
-				s.Activate(t.arraySentence(id), ctx.Now)
-			}
+			on, _ := t.dispatchSentences(ctx.Tag, ctx.Args)
+			t.SASes.Node(ctx.Node).ActivateAll(on, ctx.Now)
 		},
 	})
 	t.inst.Insert(dyninst.Exit(cmrts.RoutineDispatch), dyninst.Snippet{
 		Name: "paradyn gating: block exit",
 		Do: func(ctx dyninst.Context) {
-			s := t.SASes.Node(ctx.Node)
-			for _, id := range ctx.Args {
-				_ = s.Deactivate(t.arraySentence(id), ctx.Now)
-			}
-			_ = s.Deactivate(t.blockSentence(ctx.Tag), ctx.Now)
+			_, off := t.dispatchSentences(ctx.Tag, ctx.Args)
+			_ = t.SASes.Node(ctx.Node).DeactivateAll(off, ctx.Now)
 		},
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"nvmap/internal/mdl"
 	"nvmap/internal/nv"
 	"nvmap/internal/pifgen"
+	"nvmap/internal/vtime"
 )
 
 const testProgram = `PROGRAM corr
@@ -618,5 +619,40 @@ func TestChannelDrainOnAccessor(t *testing.T) {
 	}
 	if got := tool.ArrayIDs("LATE"); len(got) != 1 {
 		t.Fatalf("ArrayIDs after accessor drain = %v", got)
+	}
+}
+
+// The gating snippets reuse the previous dispatch's sentences only when
+// block and argument contents match. A dispatcher that rewrites one
+// argument slice between two dispatches of the same block must see the
+// new array activated, not the cached one.
+func TestGatingReResolvesRewrittenArguments(t *testing.T) {
+	tool, _, _ := app(t, 2, false)
+	tool.EnableGating()
+	args := []string{"id1", "id2"}
+	ctx := dyninst.Context{Node: 1, Tag: "blk", Args: args}
+	fire := func(p dyninst.PointID, now vtime.Time) {
+		ctx.Now = now
+		tool.Inst().Fire(p, ctx)
+	}
+	s := tool.SASes.Node(1)
+	active := func(verb nv.VerbID, noun string) bool { return s.Active(nv.NewSentence(verb, nv.NounID(noun))) }
+
+	fire(dyninst.Entry(cmrts.RoutineDispatch), 1)
+	if !active(VerbBlockExec, "blk") || !active(VerbArrayActive, "id1") || !active(VerbArrayActive, "id2") {
+		t.Fatalf("first dispatch: active set %v", s.Snapshot())
+	}
+	fire(dyninst.Exit(cmrts.RoutineDispatch), 2)
+	args[1] = "id3"
+	fire(dyninst.Entry(cmrts.RoutineDispatch), 3)
+	if !active(VerbArrayActive, "id3") || active(VerbArrayActive, "id2") {
+		t.Fatalf("rewritten dispatch: active set %v, want {id3 ArrayActive} and not {id2 ArrayActive}", s.Snapshot())
+	}
+	fire(dyninst.Exit(cmrts.RoutineDispatch), 4)
+	if n := s.Size(); n != 0 {
+		t.Fatalf("%d sentences still active after the exit: %v", n, s.Snapshot())
+	}
+	if st := s.Stats(); st.Notifications != 12 || st.Stored != 12 {
+		t.Fatalf("stats = %+v, want 12 stored notifications", st)
 	}
 }

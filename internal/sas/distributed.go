@@ -84,14 +84,14 @@ type pendingSend struct {
 	ev   Event
 }
 
-// collectExports matches an activation change against the export rules;
-// active is the sentence's membership after the change (exports fire only
-// on transitions, so the caller knows it). Called with structMu held.
-func (s *SAS) collectExports(sn *nv.Sentence, at vtime.Time, active bool) []pendingSend {
+// collectExports matches an activation change against the export rules
+// and appends the matching sends to out; active is the sentence's
+// membership after the change (exports fire only on transitions, so the
+// caller knows it). Called with structMu held.
+func (s *SAS) collectExports(out []pendingSend, sn *nv.Sentence, at vtime.Time, active bool) []pendingSend {
 	if len(s.exports) == 0 || s.replaying > 0 {
-		return nil
+		return out
 	}
-	var out []pendingSend
 	for _, r := range s.exports {
 		if r.pattern.Matches(*sn) {
 			out = append(out, pendingSend{rule: r, ev: Event{Sentence: *sn, Active: active, At: at, FromNode: s.node}})

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"nvmap/internal/nv"
+	"nvmap/internal/obs"
 	"nvmap/internal/vtime"
 )
 
@@ -756,4 +758,243 @@ func TestSnapshotEquivalentToBruteForce(t *testing.T) {
 				a.Sentence, a.Since, a.Depth, ref.active[i].since, ref.active[i].depth)
 		}
 	}
+}
+
+// batchExports are the mutual export rules of the batch-equivalence
+// test: node 0 exports its Send sentences to node 1, node 1 its Exec
+// sentences to node 0. The patterns are disjoint, so no export leads back
+// into its exporter and the two pairs see the same notification order.
+var batchExports = [2]Term{T("Send"), T("Exec")}
+
+// recTransport delivers exports synchronously and logs them.
+type recTransport struct{ log *[]Event }
+
+func (r recTransport) Send(ev Event, to *SAS) {
+	*r.log = append(*r.log, ev)
+	to.ApplyRemote(ev)
+}
+
+// batchPair is two mutually exporting SASes with every observable side
+// effect logged: journal records, Watch flips and exported events.
+type batchPair struct {
+	sas     [2]*SAS
+	ids     [2][]QuestionID
+	journal [2][]string
+	flips   [2][]string
+	sent    []string
+	events  []Event
+}
+
+func newBatchPair(t *testing.T, filter bool, qs []Question) *batchPair {
+	t.Helper()
+	p := &batchPair{}
+	for k := range p.sas {
+		p.sas[k] = New(Options{Node: k, Filter: filter})
+	}
+	for k, s := range p.sas {
+		k := k
+		if err := s.Export(batchExports[k], p.sas[1-k], recTransport{&p.events}); err != nil {
+			t.Fatal(err)
+		}
+		s.SetRecorder(func(r Record) {
+			p.journal[k] = append(p.journal[k],
+				fmt.Sprintf("%d %v at=%d from=%d v=%g d=%d", r.Kind, r.Sentence, r.At, r.From, r.Value, r.Dur))
+		})
+		for i, q := range qs {
+			id, err := s.AddQuestion(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.ids[k] = append(p.ids[k], id)
+			i := i
+			if err := s.Watch(id, func(sat bool, at vtime.Time) {
+				p.flips[k] = append(p.flips[k], fmt.Sprintf("q%d %v at=%d", i, sat, at))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return p
+}
+
+// exported renders the events the export targets received so far.
+func (p *batchPair) exported() []string {
+	for _, ev := range p.events[len(p.sent):] {
+		p.sent = append(p.sent, fmt.Sprintf("%v active=%v at=%d from=%d", ev.Sentence, ev.Active, ev.At, ev.FromNode))
+	}
+	return p.sent
+}
+
+// refNotify applies one notification to reference k and forwards a
+// membership transition its export pattern matches to the other
+// reference, as the export rules do.
+func refNotify(refs [2]*refModel, k int, sn nv.Sentence, at vtime.Time, activate bool) {
+	m := refs[k]
+	was := m.find(sn) >= 0
+	if activate {
+		m.activate(sn, at)
+	} else {
+		m.deactivate(sn, at)
+	}
+	if is := m.find(sn) >= 0; is != was && batchExports[k].Matches(sn) {
+		refNotify(refs, 1-k, sn, at, is)
+	}
+}
+
+func mustEqualLogs(t *testing.T, tag string, batch, seq []string) {
+	t.Helper()
+	if fmt.Sprint(batch) != fmt.Sprint(seq) {
+		t.Fatalf("%s differ:\n batch    %v\n sequence %v", tag, batch, seq)
+	}
+}
+
+// TestBatchEquivalentToSequence drives random streams in which runs of
+// same-instant notifications go through ActivateAll/DeactivateAll on one
+// pair of mutually exporting SASes and through single Activate/Deactivate
+// calls on a twin pair — runs that repeat sentences, deactivate inactive
+// ones, and cross the export rules, with relevance filtering on for odd
+// seeds. After every step both pairs must agree with each other and with
+// the reference model on every Stats field, every Result and satisfied
+// flag and the snapshot, and with each other on the journal records, the
+// Watch flips and the events the export targets received, in order.
+func TestBatchEquivalentToSequence(t *testing.T) {
+	verbs := []string{"Sum", "Send", "Exec", "Idle"}
+	nouns := []string{"A", "B", "C", "D"}
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed * 131))
+			filter := seed%2 == 1
+			qs := make([]Question, 5+rng.Intn(4))
+			for i := range qs {
+				qs[i] = randQuestion(rng, i, verbs, nouns)
+			}
+			batch, seq := newBatchPair(t, filter, qs), newBatchPair(t, filter, qs)
+			var refs [2]*refModel
+			for k := range refs {
+				refs[k] = newRefModel(qs)
+				refs[k].filter = filter
+			}
+
+			at := vtime.Time(0)
+			for step := 0; step < 300; step++ {
+				at += vtime.Time(1 + rng.Intn(4))
+				k := rng.Intn(2)
+				sns := make([]nv.Sentence, 1+rng.Intn(4))
+				for i := range sns {
+					sns[i] = randSentence(rng, verbs, nouns)
+					if act := refs[k].active; len(act) > 0 && rng.Intn(2) == 0 {
+						sns[i] = act[rng.Intn(len(act))].sn
+					}
+				}
+				switch op := rng.Intn(5); {
+				case op < 2:
+					batch.sas[k].ActivateAll(sns, at)
+					for _, sn := range sns {
+						seq.sas[k].Activate(sn, at)
+						refNotify(refs, k, sn, at, true)
+					}
+				case op < 4:
+					gotErr := batch.sas[k].DeactivateAll(sns, at)
+					var wantErr error
+					for _, sn := range sns {
+						if err := seq.sas[k].Deactivate(sn, at); err != nil && wantErr == nil {
+							wantErr = err
+						}
+						refNotify(refs, k, sn, at, false)
+					}
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("step %d: DeactivateAll = %v, first single-call error %v", step, gotErr, wantErr)
+					}
+				default:
+					sn := sns[0]
+					got, want := batch.sas[k].RecordEvent(sn, at, 1), seq.sas[k].RecordEvent(sn, at, 1)
+					if ref := refs[k].event(sn, 1); got != want || got != ref {
+						t.Fatalf("step %d: RecordEvent(%v) charged %d (batch) %d (sequence) %d (reference)", step, sn, got, want, ref)
+					}
+				}
+
+				for k, ref := range refs {
+					tag := fmt.Sprintf("step %d node %d", step, k)
+					b, s := batch.sas[k], seq.sas[k]
+					if got, want := b.Stats(), s.Stats(); got != want || got != ref.stats {
+						t.Fatalf("%s: Stats batch %+v, sequence %+v, reference %+v", tag, got, want, ref.stats)
+					}
+					for i := range qs {
+						rb, _ := b.Result(batch.ids[k][i], at)
+						rs, _ := s.Result(seq.ids[k][i], at)
+						wantSat := ref.satT[i]
+						if ref.sat[i] {
+							wantSat += at.Sub(ref.since[i])
+						}
+						want := Result{Count: ref.count[i], EventTime: ref.evT[i], SatisfiedTime: wantSat, Satisfied: ref.sat[i]}
+						rb.Question, rs.Question = Question{}, Question{}
+						if !reflect.DeepEqual(rb, want) || !reflect.DeepEqual(rs, want) {
+							t.Fatalf("%s: question %d Result batch %+v, sequence %+v, reference %+v", tag, i, rb, rs, want)
+						}
+						if b.Satisfied(batch.ids[k][i]) != s.Satisfied(seq.ids[k][i]) {
+							t.Fatalf("%s: question %d Satisfied differs", tag, i)
+						}
+					}
+					mustMatchSnapshot(t, tag+" batch", b.Snapshot(), ref.sortedSnapshot())
+					mustMatchSnapshot(t, tag+" sequence", s.Snapshot(), ref.sortedSnapshot())
+					mustEqualLogs(t, tag+" journals", batch.journal[k], seq.journal[k])
+					mustEqualLogs(t, tag+" Watch flips", batch.flips[k], seq.flips[k])
+				}
+				mustEqualLogs(t, fmt.Sprintf("step %d exported events", step), batch.exported(), seq.exported())
+			}
+			if len(batch.events) == 0 {
+				t.Fatal("no export crossed between the pair; the stream pins nothing about exports")
+			}
+		})
+	}
+}
+
+// TestBatchSpansMatchSequence is the observability case: with a tracer
+// attached, a batch records the spans the single calls record, in the
+// same order and with the same stages, names, nodes and instants.
+func TestBatchSpansMatchSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	verbs := []string{"Sum", "Send"}
+	nouns := []string{"A", "B", "C"}
+	var sides [2]*SAS
+	var planes [2]*obs.Plane
+	for k := range sides {
+		planes[k] = obs.New(obs.Options{TraceCapacity: -1})
+		sides[k] = New(Options{Node: 3, Obs: planes[k]})
+		if _, err := sides[k].AddQuestion(Q("q", T("Sum", Any))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, seq := sides[0], sides[1]
+	for step := 0; step < 60; step++ {
+		at := vtime.Time(step)
+		sns := make([]nv.Sentence, 1+rng.Intn(3))
+		for i := range sns {
+			sns[i] = randSentence(rng, verbs, nouns)
+		}
+		if rng.Intn(2) == 0 {
+			batch.ActivateAll(sns, at)
+			for _, sn := range sns {
+				seq.Activate(sn, at)
+			}
+		} else {
+			_ = batch.DeactivateAll(sns, at)
+			for _, sn := range sns {
+				_ = seq.Deactivate(sn, at)
+			}
+		}
+	}
+	render := func(p *obs.Plane) []string {
+		var out []string
+		for _, sp := range p.Tracer.Spans() {
+			out = append(out, fmt.Sprintf("%d %v %s node=%d [%d,%d]", sp.ID, sp.Stage, sp.Name, sp.Node, sp.Start, sp.End))
+		}
+		return out
+	}
+	got, want := render(planes[0]), render(planes[1])
+	if len(want) == 0 {
+		t.Fatal("the single calls recorded no spans")
+	}
+	mustEqualLogs(t, "spans", got, want)
 }

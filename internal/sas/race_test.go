@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvmap/internal/nv"
 	"nvmap/internal/vtime"
 )
 
@@ -78,5 +79,62 @@ func TestConcurrentStatsReaders(t *testing.T) {
 	}
 	if st.Events != nodes*rounds {
 		t.Errorf("Events = %d, want %d", st.Events, nodes*rounds)
+	}
+}
+
+// TestBatchConcurrentWriters is the shared-memory case for notification
+// batches (Section 4.2.3): several goroutines notify one SAS through
+// ActivateAll/DeactivateAll while readers scrape it. Each batch runs
+// under the one lock, so the counts come out exact and the set drains.
+func TestBatchConcurrentWriters(t *testing.T) {
+	const workers, rounds = 4, 200
+	s := New(Options{})
+	if _, err := s.AddQuestion(Q("q", T("Work", Any), T("Arg", Any))); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = s.Stats()
+			_ = s.Snapshot()
+			_ = s.Columns()
+		}
+	}()
+	var writers sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			batch := []nv.Sentence{
+				sent("Work", fmt.Sprintf("w%d", w)),
+				sent("Arg", fmt.Sprintf("a%d", w)),
+				sent("Arg", "shared"),
+			}
+			for i := 0; i < rounds; i++ {
+				at := vtime.Time(w*1_000_000 + i*10)
+				s.ActivateAll(batch, at)
+				if err := s.DeactivateAll(batch, at+5); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if s.Size() != 0 {
+		t.Fatalf("Size = %d after balanced batches", s.Size())
+	}
+	if got, want := s.Stats().Notifications, workers*rounds*2*3; got != want {
+		t.Fatalf("Notifications = %d, want %d", got, want)
 	}
 }

@@ -367,12 +367,12 @@ func (s *SAS) applyReliableEvent(l *ReliableLink, ev Event) {
 		s.stats.Stored++
 		sh.insert(sn, ev.At, 1, l)
 		s.notifyQuestions(sn, ev.At, +1)
-		pending = s.collectExports(sn, ev.At, true)
+		pending = s.collectExports(nil, sn, ev.At, true)
 	case !ev.Active && i >= 0 && sh.origin[i] == l:
 		s.stats.Stored++
 		sh.removeAt(i)
 		s.notifyQuestions(sn, ev.At, -1)
-		pending = s.collectExports(sn, ev.At, false)
+		pending = s.collectExports(nil, sn, ev.At, false)
 	default:
 		// Idempotent no-op: re-activation of a live entry, or
 		// deactivation of an entry we do not hold for this link.
@@ -420,7 +420,7 @@ func (s *SAS) resyncFromLink(l *ReliableLink, lastSeq uint64, snap []ActiveSente
 		// Re-find by handle: earlier drops may have swap-moved the row.
 		s.act.removeAt(s.act.find(nv.HandleOf(sn)))
 		s.notifyQuestions(sn, at, -1)
-		pending = append(pending, s.collectExports(sn, at, false)...)
+		pending = s.collectExports(pending, sn, at, false)
 	}
 	for _, key := range adopt {
 		a := want[key]
@@ -428,7 +428,7 @@ func (s *SAS) resyncFromLink(l *ReliableLink, lastSeq uint64, snap []ActiveSente
 		s.stats.Stored++
 		s.act.insert(sn, a.Since, 1, l)
 		s.notifyQuestions(sn, at, +1)
-		pending = append(pending, s.collectExports(sn, at, true)...)
+		pending = s.collectExports(pending, sn, at, true)
 	}
 	s.structMu.Unlock()
 	dispatch(pending)

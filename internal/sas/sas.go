@@ -58,10 +58,12 @@
 // on the notification path, and what it buys is that readers on other
 // goroutines (a /metrics scrape, TotalStats) and the paper's shared-memory
 // case (several threads notifying one SAS, Section 4.2.3) stay safe at
-// the synchronisation cost the paper names. Exports decided under the
-// lock are dispatched after it is released, so two SASes may export to
-// each other. Watch callbacks and the SetRecorder hook run under the
-// lock and must not call back into the same SAS.
+// the synchronisation cost the paper names. A notification batch
+// (ActivateAll, DeactivateAll — one node code block's sentences) pays
+// that cost once for all its sentences. Exports decided under the lock
+// are dispatched after it is released, so two SASes may export to each
+// other. Watch callbacks and the SetRecorder hook run under the lock and
+// must not call back into the same SAS.
 package sas
 
 import (
@@ -757,26 +759,57 @@ func (s *SAS) Activate(sn nv.Sentence, at vtime.Time) {
 		defer s.obsT.End(ref, at)
 	}
 	s.structMu.Lock()
+	pending := s.activateLocked(p, at, nil)
+	s.structMu.Unlock()
+	dispatch(pending)
+}
+
+// ActivateAll notifies the SAS that every sentence of sns became active at
+// instant at. It is exactly the sequence of Activate calls, in order,
+// taken under one acquisition of the lock — the paper's dispatcher hands
+// the SAS a node code block's arguments in one notification (Section
+// 6.1). Statistics, journal records and Watch flips are those of the
+// sequence; the exports the sequence would dispatch are dispatched, in
+// the same order, once the whole batch is applied (so a synchronous
+// export that leads back into this SAS lands after the batch rather than
+// between its sentences). With an observability tracer attached the
+// batch is the plain sequence of Activate calls, so it records the same
+// per-sentence spans.
+func (s *SAS) ActivateAll(sns []nv.Sentence, at vtime.Time) {
+	if s.obsT != nil {
+		for i := range sns {
+			s.Activate(sns[i], at)
+		}
+		return
+	}
 	var pending []pendingSend
+	s.structMu.Lock()
+	for i := range sns {
+		pending = s.activateLocked(nv.InternedPtr(&sns[i]), at, pending)
+	}
+	s.structMu.Unlock()
+	dispatch(pending)
+}
+
+// activateLocked applies one activation notification and appends the
+// exports it decides to pending. Called with structMu held.
+func (s *SAS) activateLocked(p *nv.Sentence, at vtime.Time, pending []pendingSend) []pendingSend {
 	if s.journaling() {
 		s.record(Record{Kind: RecActivate, Sentence: *p, At: at})
 	}
 	s.stats.Notifications++
-	switch {
-	case s.filter && !s.relevant(p):
+	if s.filter && !s.relevant(p) {
 		s.stats.Ignored++
-	default:
-		s.stats.Stored++
-		if i := s.act.find(nv.HandleOf(p)); i >= 0 {
-			s.act.depth[i]++
-		} else {
-			s.act.insert(p, at, 1, nil)
-			s.notifyQuestions(p, at, +1)
-			pending = s.collectExports(p, at, true)
-		}
+		return pending
 	}
-	s.structMu.Unlock()
-	dispatch(pending)
+	s.stats.Stored++
+	if i := s.act.find(nv.HandleOf(p)); i >= 0 {
+		s.act.depth[i]++
+		return pending
+	}
+	s.act.insert(p, at, 1, nil)
+	s.notifyQuestions(p, at, +1)
+	return s.collectExports(pending, p, at, true)
 }
 
 // Deactivate notifies the SAS that sentence sn became inactive at instant
@@ -789,35 +822,65 @@ func (s *SAS) Deactivate(sn nv.Sentence, at vtime.Time) error {
 		defer s.obsT.End(ref, at)
 	}
 	s.structMu.Lock()
+	pending, err := s.deactivateLocked(p, at, nil)
+	s.structMu.Unlock()
+	dispatch(pending)
+	return err
+}
+
+// DeactivateAll is the batch form of Deactivate, as ActivateAll is of
+// Activate: the sequence of Deactivate calls over sns, in order, under one
+// acquisition of the lock. Every sentence is notified even when an
+// earlier one fails; the first error is returned.
+func (s *SAS) DeactivateAll(sns []nv.Sentence, at vtime.Time) error {
+	var first error
+	if s.obsT != nil {
+		for i := range sns {
+			if err := s.Deactivate(sns[i], at); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	var pending []pendingSend
+	s.structMu.Lock()
+	for i := range sns {
+		var err error
+		pending, err = s.deactivateLocked(nv.InternedPtr(&sns[i]), at, pending)
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	s.structMu.Unlock()
+	dispatch(pending)
+	return first
+}
+
+// deactivateLocked applies one deactivation notification and appends the
+// exports it decides to pending. Called with structMu held.
+func (s *SAS) deactivateLocked(p *nv.Sentence, at vtime.Time, pending []pendingSend) ([]pendingSend, error) {
 	if s.journaling() {
 		s.record(Record{Kind: RecDeactivate, Sentence: *p, At: at})
 	}
 	s.stats.Notifications++
 	i := s.act.find(nv.HandleOf(p))
 	if i < 0 {
-		filtered := s.filter && !s.relevant(p)
-		if filtered {
+		if s.filter && !s.relevant(p) {
 			// A filtered sentence was never stored; its deactivation is
 			// likewise ignored.
 			s.stats.Ignored++
+			return pending, nil
 		}
-		s.structMu.Unlock()
-		if filtered {
-			return nil
-		}
-		return fmt.Errorf("sas: deactivate of inactive sentence %v", sn)
+		return pending, fmt.Errorf("sas: deactivate of inactive sentence %v", *p)
 	}
 	s.stats.Stored++
 	s.act.depth[i]--
 	if s.act.depth[i] == 0 {
 		s.act.removeAt(i)
 		s.notifyQuestions(p, at, -1)
-		pending = s.collectExports(p, at, false)
+		pending = s.collectExports(pending, p, at, false)
 	}
-	s.structMu.Unlock()
-	dispatch(pending)
-	return nil
+	return pending, nil
 }
 
 // notifyQuestions folds one insert (delta +1) or remove (delta -1)
