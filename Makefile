@@ -1,4 +1,4 @@
-.PHONY: build test race bench pprof-events pprof-data soak soak-smoke serve-smoke diagnose-smoke
+.PHONY: build test race bench pprof-events pprof-data pprof-diagnose soak soak-smoke serve-smoke diagnose-smoke
 
 build:
 	go build ./...
@@ -41,6 +41,16 @@ pprof-data:
 	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/data_hot.cpu.pprof
 	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/data_hot.mem.pprof
 
+# The same for the consultant: BenchmarkDiagnosisCorpus is the
+# diagnose_corpus op (Diagnose+Text over the five corpus scenarios).
+pprof-diagnose:
+	mkdir -p .bench_build
+	go test -run '^$$' -bench BenchmarkDiagnosisCorpus -benchtime 300x \
+		-o .bench_build/nvmap.test -outputdir .bench_build \
+		-cpuprofile diagnose.cpu.pprof -memprofile diagnose.mem.pprof .
+	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/diagnose.cpu.pprof
+	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/diagnose.mem.pprof
+
 # Chaos soak: randomized composed-fault sessions under the race
 # detector, asserting the robustness contract (no process death, every
 # run ends in answer / partial / typed error, wall-clock-free runs
@@ -64,9 +74,10 @@ serve-smoke:
 	go run -race ./cmd/nvload -smoke
 
 # Diagnosis smoke: the corpus goldens (planted root causes, budget
-# accounting) plus the concurrent-search and /v1/diagnose stream/drain
-# tests under the race detector.
+# accounting), the per-probe replay reference and the cancelled shared
+# replay, plus the concurrent-search, budget, failed-replay and
+# /v1/diagnose stream/drain tests under the race detector.
 diagnose-smoke:
-	go test -run 'TestDiagnosisCorpus' .
-	go test -race -run 'TestConsultantConcurrentSearches|TestConsultantBudgetRespected' ./internal/paradyn
+	go test -run 'TestDiagnosisCorpus|TestDiagnosisReplayReference|TestDiagnoseContextCancelledInSharedReplay' .
+	go test -race -run 'TestConsultantConcurrentSearches|TestConsultantBudgetRespected|TestConsultantFailedReplayCachesNothing' ./internal/paradyn
 	go test -race -run 'TestDiagnose' ./internal/serve

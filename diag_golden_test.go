@@ -138,3 +138,30 @@ func TestDiagnosisCollectors(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDiagnosisCorpus is the benchmark's diagnose_corpus op rebuilt
+// in this package over the fixed corpus: one round of Diagnose+Text over
+// every scenario, each required to confirm its planted cause and only
+// it. `make pprof-diagnose` profiles it.
+func BenchmarkDiagnosisCorpus(b *testing.B) {
+	corpus := DiagnosisCorpus()
+	replays := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range corpus {
+			rep, err := Diagnose(sc.Source, DiagnoseConfig{}, sc.Opts...)
+			if err != nil {
+				b.Fatalf("%s: %v", sc.Name, err)
+			}
+			_ = rep.Text()
+			for _, root := range rep.Roots {
+				if root.Confirmed != (root.Hypothesis == sc.Planted) {
+					b.Fatalf("%s: top-level %s confirmed=%v, planted %s", sc.Name, root.Hypothesis, root.Confirmed, sc.Planted)
+				}
+			}
+			replays += rep.Replays
+		}
+	}
+	b.ReportMetric(float64(replays)/float64(b.N), "replays/op")
+}

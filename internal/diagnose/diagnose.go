@@ -91,10 +91,14 @@ type Measurement struct {
 	Fraction float64
 	// Source says whether the base run answered or a replay was needed.
 	Source Source
-	// Cost is the virtual time the probe consumed: the replay's elapsed
-	// time for re-run probes, zero for sampled ones (the evaluator
-	// charges the base run's cost to the first probe).
+	// Cost is the virtual time the probe consumed: the elapsed time of
+	// the replays it triggered, zero for sampled probes and for re-run
+	// probes answered from a replay an earlier probe already paid for
+	// (the evaluator charges the base run's cost to the first probe).
 	Cost vtime.Duration
+	// Runs counts the application replays this measurement triggered.
+	// The base instrumented run is not a replay.
+	Runs int
 }
 
 // Evaluator is the measurement side of the search. Implementations must
@@ -106,7 +110,8 @@ type Evaluator interface {
 	// Eval measures one hypothesis at one focus.
 	Eval(hypothesis, focus string) (Measurement, error)
 	// Children returns the child foci a confirmed finding refines into,
-	// in deterministic order. It must not measure anything.
+	// in deterministic order. It must not measure anything; it may note
+	// which children one measurement will answer together.
 	Children(hypothesis, focus string) []string
 }
 
@@ -143,6 +148,9 @@ type Report struct {
 	// SearchVTime is the virtual time spent acquiring measurements: the
 	// base instrumented run plus every focused replay.
 	SearchVTime vtime.Duration `json:"search_vtime_ns"`
+	// Replays counts the application replays the search ran on top of
+	// the base instrumented run (the sum of the measurements' Runs).
+	Replays int `json:"replays"`
 	// Wall is the host wall-clock the search took. It is the one
 	// non-deterministic field; byte-stable renderings omit it.
 	Wall time.Duration `json:"wall_ns"`
@@ -265,6 +273,7 @@ func (e *Engine) Search(ev Evaluator) (*Report, error) {
 		}
 		rep.ProbesRun++
 		rep.SearchVTime += m.Cost
+		rep.Replays += m.Runs
 		if e.OnProbe != nil {
 			e.OnProbe(*f)
 		}

@@ -31,7 +31,7 @@ func (s *scriptedEval) Eval(h, f string) (Measurement, error) {
 	s.order = append(s.order, k)
 	m := Measurement{Fraction: s.fracs[k], Source: SourceSampled, Cost: s.costs[k]}
 	if m.Cost > 0 {
-		m.Source = SourceRerun
+		m.Source, m.Runs = SourceRerun, 1
 	}
 	return m, nil
 }
@@ -193,6 +193,7 @@ func TestReportRenderings(t *testing.T) {
 	for _, want := range []string{
 		"2/3 hypotheses confirmed",
 		"probes: 5 run, 2 pruned (budget 5)",
+		"; replays 1\n", // the re-run /a/x, summed from its measurement's Runs
 		"CONFIRMED [sampled]",
 		"rejected ",
 		"  Hot",
@@ -211,6 +212,14 @@ func TestReportRenderings(t *testing.T) {
 	if rep2.Text() != text {
 		t.Fatalf("Text not byte-stable:\n%s\n----\n%s", text, rep2.Text())
 	}
+	// A search the base run answered alone prints no replay count.
+	sampledOnly, err := (&Engine{Budget: 3}).Search(basicEval())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampledOnly.Replays != 0 || strings.Contains(sampledOnly.Text(), "replays") {
+		t.Fatalf("sampled-only search reports replays:\n%s", sampledOnly.Text())
+	}
 
 	js, err := rep.JSON()
 	if err != nil {
@@ -220,7 +229,7 @@ func TestReportRenderings(t *testing.T) {
 	if err := json.Unmarshal(js, &decoded); err != nil {
 		t.Fatalf("JSON round-trip: %v", err)
 	}
-	if decoded.ProbesRun != rep.ProbesRun || decoded.Pruned != rep.Pruned {
+	if decoded.ProbesRun != rep.ProbesRun || decoded.Pruned != rep.Pruned || decoded.Replays != 1 {
 		t.Fatalf("JSON lost counters: %+v", decoded)
 	}
 	if !strings.Contains(string(js), `"source": "sampled"`) {

@@ -28,13 +28,18 @@ func (f *Finding) Line() string {
 
 // Text renders the full report as an indented findings tree plus the
 // search's own cost. The rendering is byte-stable for a deterministic
-// evaluator: it includes the virtual-time search cost but not the
-// wall-clock one.
+// evaluator: it includes the virtual-time search cost and the replay
+// count (omitted when the base run answered every probe) but not the
+// wall-clock cost.
 func (r *Report) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "diagnosis: %d/%d hypotheses confirmed\n", r.Confirmed(), len(r.Roots))
-	fmt.Fprintf(&b, "probes: %d run, %d pruned (budget %d); refinement depth %d; search vtime %v\n",
+	fmt.Fprintf(&b, "probes: %d run, %d pruned (budget %d); refinement depth %d; search vtime %v",
 		r.ProbesRun, r.Pruned, r.Budget, r.MaxDepth, r.SearchVTime)
+	if r.Replays > 0 {
+		fmt.Fprintf(&b, "; replays %d", r.Replays)
+	}
+	b.WriteByte('\n')
 	var rec func(fs []*Finding, indent string)
 	rec = func(fs []*Finding, indent string) {
 		for _, f := range fs {

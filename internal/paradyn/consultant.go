@@ -2,6 +2,7 @@ package paradyn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,7 +24,10 @@ import (
 // and replays the (deterministic) application with focus-constrained
 // instrumentation only where the where-axis refinement genuinely needs
 // an isolated number, the replay standing in for Paradyn's online
-// instrumentation insertion.
+// instrumentation insertion. Like Paradyn's, that insertion covers a
+// whole refinement step at once: one replay measures every sibling
+// focus a confirmed finding refines into, and one recorded replay
+// answers every route-attribution probe of the search.
 
 // Why-axis hypothesis IDs the consultant evaluates natively.
 const (
@@ -201,7 +205,9 @@ func (c *Consultant) Diagnose(factory AppFactory) (*diagnose.Report, error) {
 
 // consultSession is the diagnose.Evaluator over one base instrumented
 // run plus targeted replays. Everything sampled is captured before the
-// search starts, so evaluation order cannot change any answer.
+// search starts, and a replay measures its whole group whichever member
+// asks first, so evaluation order cannot change any answer — only which
+// probe is charged for a replay.
 type consultSession struct {
 	c       *Consultant
 	factory AppFactory
@@ -226,6 +232,9 @@ type consultSession struct {
 	stmts   []string
 	arrays  []string
 	hasTopo bool
+	// stmtBlocks is the static statement -> node code blocks index
+	// (PIF mapping records, identical in every replay).
+	stmtBlocks map[string][]string
 
 	// customEMs holds whole-program instances for non-native hypothesis
 	// IDs, enabled on the base run.
@@ -233,7 +242,16 @@ type consultSession struct {
 	baseNow   vtime.Time
 
 	charged bool // base-run cost charged to the first probe
+
+	// groups maps each metric-replay probe to the refinement step it
+	// belongs to; the group's single replay answers all its members.
+	groups map[probeKey]*replayGroup
+	// routes is the search's one route recording, made by the first
+	// route-attribution probe; nil until then.
+	routes *routeRecording
 }
+
+type probeKey struct{ hyp, focus string }
 
 type undirectedLoad struct {
 	a, b  int // a < b
@@ -256,7 +274,8 @@ func newConsultSession(c *Consultant, factory AppFactory) (*consultSession, erro
 			}
 		}
 	}
-	cs := &consultSession{c: c, factory: factory, nodes: tool.mach.Nodes()}
+	cs := &consultSession{c: c, factory: factory, nodes: tool.mach.Nodes(),
+		stmtBlocks: tool.stmtBlocks, groups: make(map[probeKey]*replayGroup)}
 	cs.cpIdle = make([]float64, cs.nodes)
 	cs.commIdle = make([]float64, cs.nodes)
 	cs.selfIdle = make([]float64, cs.nodes)
@@ -419,10 +438,10 @@ func (cs *consultSession) busy(n int) float64 {
 
 // Eval measures one (hypothesis, focus) probe. Whole-program, per-node
 // and per-link answers come from the base run; statement and array foci
-// replay the application with constrained instrumentation.
+// come from their refinement step's shared replay, or from the search's
+// route recording for route-attribution probes.
 func (cs *consultSession) Eval(hyp, focus string) (diagnose.Measurement, error) {
-	parts := parseFocus(focus)
-	m, err := cs.eval(hyp, parts)
+	m, err := cs.eval(hyp, focus)
 	if err != nil {
 		return diagnose.Measurement{}, err
 	}
@@ -435,25 +454,64 @@ func (cs *consultSession) Eval(hyp, focus string) (diagnose.Measurement, error) 
 	return m, nil
 }
 
-func (cs *consultSession) eval(hyp string, parts []focusPart) (diagnose.Measurement, error) {
+func (cs *consultSession) eval(hyp, focus string) (diagnose.Measurement, error) {
+	parts := parseFocus(focus)
+	switch cs.kindOf(hyp, parts) {
+	case probeRoute:
+		return cs.evalRoute(parts)
+	case probeReplay:
+		return cs.evalReplay(hyp, focus)
+	}
 	// Sampled foci: whole program, one machine node, one HW link.
 	if len(parts) == 0 {
 		return cs.evalWholeProgram(hyp)
 	}
-	if len(parts) == 1 {
-		switch parts[0].hier {
-		case HierMachine:
-			n, err := strconv.Atoi(strings.TrimPrefix(parts[0].name, "node"))
-			if err != nil || n < 0 || n >= cs.nodes {
-				return diagnose.Measurement{}, fmt.Errorf("consultant: bad node focus %q", parts[0].name)
-			}
-			return cs.evalNode(hyp, n)
+	if parts[0].hier == HierHW {
+		return cs.evalLink(parts[0].name)
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(parts[0].name, "node"))
+	if err != nil || n < 0 || n >= cs.nodes {
+		return diagnose.Measurement{}, fmt.Errorf("consultant: bad node focus %q", parts[0].name)
+	}
+	return cs.evalNode(hyp, n)
+}
+
+// probeKind says how a probe is answered.
+type probeKind uint8
+
+const (
+	// probeSampled reads the base run: the whole program, one machine
+	// node or one HW link.
+	probeSampled probeKind = iota
+	// probeRoute reads the route recording: a statement paired with a HW
+	// link, or a CommBound statement on a topology machine.
+	probeRoute
+	// probeReplay reads its group's focused metric replay.
+	probeReplay
+)
+
+func (cs *consultSession) kindOf(hyp string, parts []focusPart) probeKind {
+	if len(parts) == 0 || len(parts) == 1 && (parts[0].hier == HierMachine || parts[0].hier == HierHW) {
+		return probeSampled
+	}
+	stmt, node := false, false
+	for _, p := range parts {
+		switch p.hier {
 		case HierHW:
-			return cs.evalLink(parts[0].name)
+			return probeRoute
+		case HierStmts:
+			stmt = true
+		case HierMachine:
+			node = true
 		}
 	}
-	// Everything else needs a constrained replay.
-	return cs.rerun(cs.hypothesis(hyp), parts)
+	if stmt && !node && hyp == HypCommBound && cs.hasTopo {
+		// On a topology, "is this statement communication bound?" is a
+		// traffic question: what share of all link-crossing bytes did it
+		// send? Confirmed statements then refine per link.
+		return probeRoute
+	}
+	return probeReplay
 }
 
 func (cs *consultSession) evalWholeProgram(hyp string) (diagnose.Measurement, error) {
@@ -567,15 +625,21 @@ func (cs *consultSession) evalNode(hyp string, n int) (diagnose.Measurement, err
 // this is a traffic fraction — a congested link carries an outsized
 // share of the bytes.
 func (cs *consultSession) evalLink(name string) (diagnose.Measurement, error) {
-	if cs.totalBytes == 0 {
-		return diagnose.Measurement{Source: diagnose.SourceSampled}, nil
+	m := diagnose.Measurement{Source: diagnose.SourceSampled}
+	if l := cs.link(name); l != nil && cs.totalBytes > 0 {
+		m.Fraction = l.bytes / cs.totalBytes
 	}
-	for _, l := range cs.links {
-		if l.name() == name {
-			return diagnose.Measurement{Fraction: l.bytes / cs.totalBytes, Source: diagnose.SourceSampled}, nil
+	return m, nil
+}
+
+// link returns the base run's undirected link called name, nil if none.
+func (cs *consultSession) link(name string) *undirectedLoad {
+	for i := range cs.links {
+		if cs.links[i].name() == name {
+			return &cs.links[i]
 		}
 	}
-	return diagnose.Measurement{Source: diagnose.SourceSampled}, nil
+	return nil
 }
 
 // Children implements the refinement rules. Only confirmed findings are
@@ -626,144 +690,260 @@ func (cs *consultSession) Children(hyp, focus string) []string {
 			out = append(out, "/CMFstmts/"+parts[0].name+",/HW/"+l.name())
 		}
 	}
+	// The children one metric replay can measure form this step's group.
+	var g *replayGroup
+	for _, f := range out {
+		if cs.kindOf(hyp, parseFocus(f)) != probeReplay {
+			continue
+		}
+		if g == nil {
+			g = &replayGroup{hyp: cs.hypothesis(hyp)}
+		}
+		g.foci = append(g.foci, f)
+		cs.groups[probeKey{hyp, f}] = g
+	}
 	return out
 }
 
-// rerun replays the application with focus-constrained instrumentation
-// and measures the probe's hypothesis there. A focus pairing a
-// statement with a HW link is answered by route attribution: the bytes
-// the statement pushed across that link, as a share of the link's
-// traffic.
-func (cs *consultSession) rerun(h Hypothesis, parts []focusPart) (diagnose.Measurement, error) {
-	tool, run, err := cs.factory()
+// replayGroup is one refinement step's metric-replay probes: the
+// children of one confirmed finding, measured together in one replay.
+// A probe no refinement step announced is a group of one.
+type replayGroup struct {
+	hyp  Hypothesis
+	foci []string
+	// got holds every member's measurement once the replay succeeded;
+	// nil before, and after a failed replay.
+	got map[string]diagnose.Measurement
+}
+
+// evalReplay answers a metric-replay probe from its group's replay,
+// running that replay first if no member has yet. The replay's elapsed
+// time is charged to the probe that ran it; members answered from the
+// group's measurements cost nothing more.
+func (cs *consultSession) evalReplay(hyp, focus string) (diagnose.Measurement, error) {
+	key := probeKey{hyp, focus}
+	g := cs.groups[key]
+	if g == nil {
+		g = &replayGroup{hyp: cs.hypothesis(hyp), foci: []string{focus}}
+		cs.groups[key] = g
+	}
+	if g.got != nil {
+		return g.got[focus], nil
+	}
+	got, elapsed, err := cs.replay(g.hyp, g.foci)
 	if err != nil {
 		return diagnose.Measurement{}, err
+	}
+	g.got = got
+	m := got[focus]
+	m.Cost, m.Runs = elapsed, 1
+	return m, nil
+}
+
+// replay runs the application once with dynamic mapping, gating and h's
+// metrics enabled at every one of foci, and measures h at each focus:
+// the metrics' total over the replay's node-seconds, or over its elapsed
+// time for a focus constrained to one node.
+func (cs *consultSession) replay(h Hypothesis, foci []string) (map[string]diagnose.Measurement, vtime.Duration, error) {
+	tool, run, err := cs.factory()
+	if err != nil {
+		return nil, 0, err
 	}
 	tool.EnableDynamicMapping()
 	tool.EnableGating()
 
+	type probe struct {
+		focus   string
+		perNode bool
+		ems     []*EnabledMetric
+	}
+	probes := make([]probe, len(foci))
+	for i, f := range foci {
+		p := &probes[i]
+		p.focus = f
+		var resources []*Resource
+		for _, part := range parseFocus(f) {
+			switch part.hier {
+			case HierStmts, HierArrays:
+			case HierMachine:
+				p.perNode = true
+			default:
+				return nil, 0, fmt.Errorf("consultant: unknown focus hierarchy %q", part.hier)
+			}
+			resources = append(resources, tool.Axis.AddPath(part.hier, part.name))
+		}
+		focus, err := NewFocus(resources...)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, mid := range h.Metrics {
+			em, err := tool.EnableMetric(mid, focus)
+			if err != nil {
+				return nil, 0, err
+			}
+			p.ems = append(p.ems, em)
+		}
+	}
+	if err := run(); err != nil {
+		return nil, 0, err
+	}
+	now := tool.mach.GlobalNow()
+	elapsed := now.Sub(0)
+	if elapsed == 0 {
+		return nil, 0, fmt.Errorf("consultant: replay consumed no virtual time")
+	}
+	got := make(map[string]diagnose.Measurement, len(probes))
+	for _, p := range probes {
+		denom := elapsed.Seconds() * float64(tool.mach.Nodes())
+		if p.perNode {
+			denom = elapsed.Seconds()
+		}
+		total := 0.0
+		for _, em := range p.ems {
+			total += em.Value(now)
+		}
+		got[p.focus] = diagnose.Measurement{Fraction: total / denom, Source: diagnose.SourceRerun}
+	}
+	return got, elapsed, nil
+}
+
+// routeRecording is the traffic of one replay run with mapping and
+// gating only, aggregated per undirected link and per statement as the
+// messages were routed. A routed message counts once towards every
+// distinct link it crossed, and towards a statement when the sender's
+// SAS showed one of the statement's blocks active at send time (the
+// gating instrumentation maintains exactly that sentence).
+type routeRecording struct {
+	all   *routeBytes            // every sender's traffic together
+	stmts map[string]*routeBytes // statements with node code blocks
+}
+
+// routeBytes is one sender class's link-crossing traffic: in total and
+// per undirected link.
+type routeBytes struct {
+	crossing float64
+	links    map[[2]int]float64
+}
+
+func newRouteBytes() *routeBytes { return &routeBytes{links: map[[2]int]float64{}} }
+
+func (r *routeBytes) add(bytes float64, links [][2]int) {
+	r.crossing += bytes
+	for _, l := range links {
+		r.links[l] += bytes
+	}
+}
+
+// on returns the bytes crossing link, or crossing any link when link is
+// nil; a nil receiver sent nothing.
+func (r *routeBytes) on(link *undirectedLoad) float64 {
+	if r == nil {
+		return 0
+	}
+	if link == nil {
+		return r.crossing
+	}
+	return r.links[[2]int{link.a, link.b}]
+}
+
+// evalRoute answers a route-attribution probe — the statement's share of
+// the traffic crossing the focal link (any link when the focus names
+// none) — from the search's route recording, recording it first if no
+// probe has yet. This is how "which statement causes cross-torus
+// traffic" gets answered automatically.
+func (cs *consultSession) evalRoute(parts []focusPart) (diagnose.Measurement, error) {
 	var link *undirectedLoad
 	var stmt string
-	var resources []*Resource
-	nodeConstrained := false
 	for _, p := range parts {
 		switch p.hier {
 		case HierHW:
-			for i := range cs.links {
-				if cs.links[i].name() == p.name {
-					link = &cs.links[i]
-				}
-			}
-			if link == nil {
+			if link = cs.link(p.name); link == nil {
 				return diagnose.Measurement{}, fmt.Errorf("consultant: unknown link focus %q", p.name)
 			}
 		case HierStmts:
 			stmt = p.name
-			resources = append(resources, tool.Axis.AddPath(HierStmts, p.name))
-		case HierArrays:
-			resources = append(resources, tool.Axis.AddPath(HierArrays, p.name))
-		case HierMachine:
-			nodeConstrained = true
-			resources = append(resources, tool.Axis.AddPath(HierMachine, p.name))
+		case HierArrays, HierMachine:
 		default:
 			return diagnose.Measurement{}, fmt.Errorf("consultant: unknown focus hierarchy %q", p.hier)
 		}
 	}
-
-	if link != nil {
-		return cs.rerunRoute(tool, run, stmt, link)
+	m := diagnose.Measurement{Source: diagnose.SourceRerun}
+	if len(cs.stmtBlocks[stmt]) == 0 {
+		// A statement with no block mapping never executes node code, so
+		// it cannot have sent anything.
+		return m, nil
 	}
-	if stmt != "" && !nodeConstrained && h.ID == HypCommBound && cs.hasTopo {
-		// On a topology, "is this statement communication bound?" is a
-		// traffic question: what share of all link-crossing bytes did it
-		// send? Confirmed statements then refine per link.
-		return cs.rerunRoute(tool, run, stmt, nil)
-	}
-
-	focus, err := NewFocus(resources...)
-	if err != nil {
-		return diagnose.Measurement{}, err
-	}
-	var ems []*EnabledMetric
-	for _, mid := range h.Metrics {
-		em, err := tool.EnableMetric(mid, focus)
+	if cs.routes == nil {
+		rec, elapsed, err := cs.recordRoutes()
 		if err != nil {
 			return diagnose.Measurement{}, err
 		}
-		ems = append(ems, em)
+		cs.routes = rec
+		m.Cost, m.Runs = elapsed, 1
 	}
-	if err := run(); err != nil {
-		return diagnose.Measurement{}, err
+	if linkBytes := cs.routes.all.on(link); linkBytes > 0 {
+		m.Fraction = cs.routes.stmts[stmt].on(link) / linkBytes
 	}
-	now := tool.mach.GlobalNow()
-	elapsed := now.Sub(0)
-	denom := elapsed.Seconds() * float64(tool.mach.Nodes())
-	if nodeConstrained {
-		denom = elapsed.Seconds()
-	}
-	if denom == 0 {
-		return diagnose.Measurement{}, fmt.Errorf("consultant: replay consumed no virtual time")
-	}
-	total := 0.0
-	for _, em := range ems {
-		total += em.Value(now)
-	}
-	return diagnose.Measurement{Fraction: total / denom, Source: diagnose.SourceRerun, Cost: elapsed}, nil
+	return m, nil
 }
 
-// rerunRoute replays the run observing every routed message: bytes
-// crossing the focal link (any link when link is nil) are attributed to
-// the statement when the sender's SAS shows one of the statement's
-// blocks active at send time (the gating instrumentation maintains
-// exactly that sentence). The answer — the statement's share of the
-// focal traffic — is how "which statement causes cross-torus traffic"
-// gets answered automatically.
-func (cs *consultSession) rerunRoute(tool *Tool, run func() error, stmt string, link *undirectedLoad) (diagnose.Measurement, error) {
-	blocks := tool.stmtBlocks[stmt]
-	if len(blocks) == 0 {
-		// A statement with no block mapping never executes node code, so
-		// it cannot have sent anything.
-		return diagnose.Measurement{Source: diagnose.SourceRerun}, nil
+// recordRoutes replays the application with mapping and gating only and
+// aggregates every routed message as it goes, keeping no per-message
+// log: memory is O(statements × links).
+func (cs *consultSession) recordRoutes() (*routeRecording, vtime.Duration, error) {
+	tool, run, err := cs.factory()
+	if err != nil {
+		return nil, 0, err
 	}
-	// Resolve the blocks' sentences before the run, not per routed message.
-	sents := make([]nv.Sentence, len(blocks))
-	for i, blk := range blocks {
-		sents[i] = tool.blockSentence(blk)
+	tool.EnableDynamicMapping()
+	tool.EnableGating()
+
+	// Resolve each statement's block sentences before the run, not per
+	// routed message.
+	type sender struct {
+		bytes *routeBytes
+		sents []nv.Sentence
 	}
-	var linkBytes, stmtBytes float64
+	var senders []sender
+	rec := &routeRecording{all: newRouteBytes(), stmts: map[string]*routeBytes{}}
+	for _, stmt := range cs.stmts {
+		blocks := cs.stmtBlocks[stmt]
+		if len(blocks) == 0 {
+			continue
+		}
+		s := sender{bytes: newRouteBytes()}
+		for _, blk := range blocks {
+			s.sents = append(s.sents, tool.blockSentence(blk))
+		}
+		senders = append(senders, s)
+		rec.stmts[stmt] = s.bytes
+	}
+	var crossed [][2]int
 	tool.mach.OnRoute(func(from, to, bytes int, links []machine.Link, at vtime.Time) {
-		crosses := link == nil && len(links) > 0
-		if link != nil {
-			for _, l := range links {
-				a, b := l.From, l.To
-				if a > b {
-					a, b = b, a
-				}
-				if a == link.a && b == link.b {
-					crosses = true
+		if len(links) == 0 {
+			return
+		}
+		crossed = crossed[:0]
+		for _, l := range links {
+			k := [2]int{min(l.From, l.To), max(l.From, l.To)}
+			if !slices.Contains(crossed, k) {
+				crossed = append(crossed, k)
+			}
+		}
+		b := float64(bytes)
+		rec.all.add(b, crossed)
+		sas := tool.SASes.Node(from)
+		for _, s := range senders {
+			for i := range s.sents {
+				if sas.Active(s.sents[i]) {
+					s.bytes.add(b, crossed)
 					break
 				}
 			}
 		}
-		if !crosses {
-			return
-		}
-		linkBytes += float64(bytes)
-		s := tool.SASes.Node(from)
-		for i := range sents {
-			if s.Active(sents[i]) {
-				stmtBytes += float64(bytes)
-				return
-			}
-		}
 	})
 	if err := run(); err != nil {
-		return diagnose.Measurement{}, err
+		return nil, 0, err
 	}
-	elapsed := tool.mach.GlobalNow().Sub(0)
-	frac := 0.0
-	if linkBytes > 0 {
-		frac = stmtBytes / linkBytes
-	}
-	return diagnose.Measurement{Fraction: frac, Source: diagnose.SourceRerun, Cost: elapsed}, nil
+	return rec, tool.mach.GlobalNow().Sub(0), nil
 }

@@ -1,10 +1,13 @@
 package paradyn
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"nvmap/internal/diagnose"
+	"nvmap/internal/machine"
+	"nvmap/internal/vtime"
 )
 
 // TestConsultantConcurrentSearches runs two full diagnoses at once over
@@ -102,6 +105,112 @@ func TestConsultantBudgetRespected(t *testing.T) {
 	}
 	if got := rep.ProbesRun + rep.Pruned; got > full.ProbesRun+full.Pruned && full.Pruned == 0 {
 		t.Fatalf("run+pruned = %d exceeds the full frontier %d", got, full.ProbesRun)
+	}
+
+	// Cut inside the sibling group: the CPUBound refinement's statement
+	// and array probes share one replay, and the budget stops two probes
+	// into it. The accounting stays exact and the replay is charged once.
+	sampled := 0
+	full.Walk(func(f *diagnose.Finding) {
+		if f.Source == diagnose.SourceSampled {
+			sampled++
+		}
+	})
+	if full.Replays != 1 || full.ProbesRun-sampled < 3 {
+		t.Fatalf("full search: %d replays for %d re-run probes, want 1 for at least 3\n%s",
+			full.Replays, full.ProbesRun-sampled, full.Text())
+	}
+	c = NewConsultant()
+	c.Budget = sampled + 2
+	mid, err := c.Diagnose(factoryFor(t, computeHeavy, 4, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.ProbesRun != c.Budget || mid.ProbesRun+mid.Pruned != full.ProbesRun {
+		t.Fatalf("mid-group cut: run %d + pruned %d, want %d + %d",
+			mid.ProbesRun, mid.Pruned, c.Budget, full.ProbesRun-c.Budget)
+	}
+	charged, cost := 0, vtime.Duration(0)
+	mid.Walk(func(f *diagnose.Finding) {
+		cost += f.Cost
+		if f.Source == diagnose.SourceRerun && f.Cost > 0 {
+			charged++
+		}
+	})
+	if mid.Replays != 1 || charged != 1 || cost != mid.SearchVTime || mid.SearchVTime != full.SearchVTime {
+		t.Fatalf("mid-group cut: %d replays, %d probes charged for one, cost %v / search vtime %v, full search %v",
+			mid.Replays, charged, cost, mid.SearchVTime, full.SearchVTime)
+	}
+}
+
+// TestConsultantFailedReplayCachesNothing fails the first shared replay
+// and the route recording after they ran to the end: the probe returns
+// the run's error, and the next probe runs the replay again instead of
+// reading measurements from the failed run.
+func TestConsultantFailedReplayCachesNothing(t *testing.T) {
+	torus := func(cfg *machine.Config) {
+		cfg.Topology = &machine.Topology{GridX: 4, GridY: 1, Torus: true, LinkHop: 40 * vtime.Microsecond}
+	}
+	for _, tc := range []struct {
+		name, src, hyp string
+		cfgMut         func(*machine.Config)
+		cached         func(*consultSession) bool
+	}{
+		{"sibling group", computeHeavy, HypCPUBound, nil, func(cs *consultSession) bool {
+			for _, g := range cs.groups {
+				if g.got != nil {
+					return true
+				}
+			}
+			return false
+		}},
+		{"route recording", commHeavy, HypCommBound, torus, func(cs *consultSession) bool { return cs.routes != nil }},
+	} {
+		inner := factoryFor(t, tc.src, 4, tc.cfgMut)
+		errCut := errors.New("replay cut")
+		calls := 0
+		factory := func() (*Tool, func() error, error) {
+			tool, run, err := inner()
+			calls++
+			if calls == 2 { // the first replay after the base run
+				return tool, func() error { _ = run(); return errCut }, err
+			}
+			return tool, run, err
+		}
+		cs, err := newConsultSession(NewConsultant(), factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayedChildren := func(parent string) (out []string) {
+			for _, f := range cs.Children(tc.hyp, parent) {
+				if cs.kindOf(tc.hyp, parseFocus(f)) != probeSampled {
+					out = append(out, f)
+				}
+			}
+			return out
+		}
+		// The whole program's replayed children, then (statement × link
+		// in the route case) those of the first of them.
+		replayed := replayedChildren(diagnose.FocusWholeProgram)
+		if len(replayed) > 0 {
+			replayed = append(replayed, replayedChildren(replayed[0])...)
+		}
+		if len(replayed) < 2 {
+			t.Fatalf("%s: %d replayed children, want at least 2", tc.name, len(replayed))
+		}
+		if _, err := cs.Eval(tc.hyp, replayed[0]); !errors.Is(err, errCut) {
+			t.Fatalf("%s: failed replay returned %v", tc.name, err)
+		}
+		if tc.cached(cs) {
+			t.Fatalf("%s: a failed replay left measurements behind", tc.name)
+		}
+		m, err := cs.Eval(tc.hyp, replayed[1])
+		if err != nil || m.Runs != 1 || m.Cost == 0 || calls != 3 {
+			t.Fatalf("%s: probe after the failure: %+v, %v, %d factory calls", tc.name, m, err, calls)
+		}
+		if m, err := cs.Eval(tc.hyp, replayed[0]); err != nil || m.Runs != 0 || m.Cost != 0 || calls != 3 {
+			t.Fatalf("%s: sibling of the retried replay: %+v, %v, %d factory calls", tc.name, m, err, calls)
+		}
 	}
 }
 
