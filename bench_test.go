@@ -77,7 +77,7 @@ func BenchmarkFig5SASSnapshot(b *testing.B) {
 func BenchmarkFig6Questions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runFig6(false); err != nil {
+		if _, err := runFig6(false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -274,3 +274,74 @@ func TestColdRecoveryConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashRecoveryMixedJournal: with gating on, statement-focus
+// metrics and a monitor question, one node's SAS journal carries both
+// the tool's {block BlockExecutes}/{a ArrayActive} records and the
+// monitor's {lineN Executes} records. A transient crash must restore and
+// replay them to the same answer, metric values and replay count as the
+// run where the two vocabularies lived in separate SASes with separate
+// journals (the values below were pinned there).
+func TestCrashRecoveryMixedJournal(t *testing.T) {
+	for _, plan := range []*fault.Plan{transientPlan(), nil} {
+		s, err := NewSession(faultTestProgram,
+			WithNodes(4), WithSourceFile("ftest.fcm"),
+			WithFaults(plan), WithRecovery(crashRecovery()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Tool.EnableDynamicMapping()
+		s.Tool.EnableGating()
+		q, err := s.EnableSASMonitor(false).Ask("sends during SUM(A)", "{A Sums}, {? Sends}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// line6 is the FORALL over A, line8 is S = SUM(A).
+		want := []struct {
+			stmt, metric string
+			value        float64
+		}{
+			{"line8", "summations", 1},
+			{"line8", "point_to_point_ops", 3},
+			{"line6", "computations", 1},
+			{"line6", "computation_time", 1.04e-05},
+		}
+		ems := make([]*paradyn.EnabledMetric, len(want))
+		for i, w := range want {
+			res, ok := s.Tool.Axis.Find(paradyn.HierStmts + "/" + w.stmt)
+			if !ok {
+				t.Fatalf("statement %s missing from the where axis", w.stmt)
+			}
+			focus, err := paradyn.NewFocus(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ems[i], err = s.Tool.EnableMetric(w.metric, focus); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		now := s.Now()
+		for i, w := range want {
+			if got := ems[i].Value(now); got != w.value {
+				t.Errorf("crashed=%v: %s at %s = %g, want %g", plan != nil, w.metric, w.stmt, got, w.value)
+			}
+		}
+		ans, err := q.Answer(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Count != 3 || ans.EventTime != 5160*vtime.Nanosecond || ans.SatisfiedTime != 5160*vtime.Nanosecond {
+			t.Errorf("crashed=%v: answer %+v, want 3 sends over 5.16µs", plan != nil, ans)
+		}
+		if plan == nil {
+			continue
+		}
+		st := s.Supervisor().Stats()
+		if st.Recoveries != 1 || st.ColdRecoveries != 0 || st.SASReplayed != 6 {
+			t.Errorf("supervisor %+v, want 1 recovery from checkpoint replaying 6 SAS records", st)
+		}
+	}
+}

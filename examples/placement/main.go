@@ -51,14 +51,11 @@ func run(placement []int) (machine.NetStats, [][]int64, string, error) {
 		return machine.NetStats{}, nil, "", err
 	}
 	w := s.EnableSASMonitor(false)
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		w.Reg.Node(n)
-	}
 	// "Which CMF statement causes cross-link traffic?" — one question
 	// per statement pairing {lineN Executes} with {? Routes}.
 	type lineQ struct {
 		line int
-		ids  map[int]sas.QuestionID
+		q    *nvmap.AskedQuestion
 	}
 	var qs []lineQ
 	seen := map[int]bool{}
@@ -69,13 +66,13 @@ func run(placement []int) (machine.NetStats, [][]int64, string, error) {
 			}
 			seen[line] = true
 			noun := nv.NounID(fmt.Sprintf("line%d", line))
-			ids, err := w.Reg.AddQuestionAll(sas.Q(
+			q, err := w.AskQuestion(sas.Q(
 				fmt.Sprintf("line%d routes", line),
 				sas.T("Executes", noun), sas.T("Routes", sas.Any)))
 			if err != nil {
 				return machine.NetStats{}, nil, "", err
 			}
-			qs = append(qs, lineQ{line, ids})
+			qs = append(qs, lineQ{line, q})
 		}
 	}
 	if _, err := s.Run(); err != nil {
@@ -84,7 +81,7 @@ func run(placement []int) (machine.NetStats, [][]int64, string, error) {
 	now := s.Now()
 	top, topCount := "", float64(0)
 	for _, q := range qs {
-		agg, err := w.Reg.AggregateResult(q.ids, now)
+		agg, err := q.q.Answer(now)
 		if err != nil {
 			return machine.NetStats{}, nil, "", err
 		}

@@ -58,9 +58,6 @@ func runPlacement(name string, placement []int) (*placeRun, error) {
 		return nil, err
 	}
 	w := s.EnableSASMonitor(false)
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		w.Reg.Node(n)
-	}
 	// One question per source statement: its cross-link traffic.
 	lines := map[int]bool{}
 	for _, b := range s.Program.Blocks {
@@ -68,16 +65,16 @@ func runPlacement(name string, placement []int) (*placeRun, error) {
 			lines[line] = true
 		}
 	}
-	ids := map[int]map[int]sas.QuestionID{}
+	asked := map[int]*AskedQuestion{}
 	for line := range lines {
 		noun := nv.NounID(fmt.Sprintf("line%d", line))
-		m, err := w.Reg.AddQuestionAll(sas.Q(
+		q, err := w.AskQuestion(sas.Q(
 			fmt.Sprintf("{line%d Executes}, {? Routes}", line),
 			sas.T(verbExecutes, noun), sas.T(verbRoutes, sas.Any)))
 		if err != nil {
 			return nil, err
 		}
-		ids[line] = m
+		asked[line] = q
 	}
 	if _, err := s.Run(); err != nil {
 		return nil, err
@@ -92,11 +89,11 @@ func runPlacement(name string, placement []int) (*placeRun, error) {
 	// The statement with the most attributed link crossings; ties break
 	// toward the lowest line so the report is deterministic.
 	for line := 0; line < 64; line++ {
-		m, ok := ids[line]
+		q, ok := asked[line]
 		if !ok {
 			continue
 		}
-		agg, err := w.Reg.AggregateResult(m, now)
+		agg, err := q.Answer(now)
 		if err != nil {
 			return nil, err
 		}

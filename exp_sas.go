@@ -2,17 +2,9 @@ package nvmap
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
 
-	"nvmap/internal/cmf"
-	"nvmap/internal/cmrts"
-	"nvmap/internal/dyninst"
-	"nvmap/internal/machine"
-	"nvmap/internal/nv"
 	"nvmap/internal/oskernel"
-	"nvmap/internal/pifgen"
 	"nvmap/internal/sas"
 	"nvmap/internal/vtime"
 )
@@ -20,8 +12,8 @@ import (
 // hpfProgram is the paper's Figure 4 fragment with enough surrounding
 // code to allocate and initialise the arrays:
 //
-//	1  ASUM = SUM(A)
-//	2  BMAX = MAXVAL(B)
+//	11  ASUM = SUM(A)
+//	12  BMAX = MAXVAL(B)
 const hpfProgram = `PROGRAM hpf
 REAL A(256)
 REAL B(256)
@@ -38,289 +30,6 @@ CSUM = SUM(C)
 END
 `
 
-// HPF-level verbs used by the SAS experiments, mirroring Figure 5's
-// sentences ("line #1 executes", "A sums", "Processor sends a message").
-const (
-	verbExecutes nv.VerbID = "Executes"
-	verbSums     nv.VerbID = "Sums"
-	verbMaxvals  nv.VerbID = "Maxvals"
-	verbMinvals  nv.VerbID = "Minvals"
-	verbSends    nv.VerbID = "Sends"
-	// verbRoutes is the HW-level verb of link-traffic sentences: one
-	// {link_hwA_hwB Routes} event fires per interconnect link a message
-	// crosses. Matches pifgen.VerbRoutes so the monitor's vocabulary
-	// agrees with the session's PIF.
-	verbRoutes nv.VerbID = nv.VerbID(pifgen.VerbRoutes)
-)
-
-func verbForIntrinsic(intr string) nv.VerbID {
-	switch intr {
-	case "SUM":
-		return verbSums
-	case "MAXVAL":
-		return verbMaxvals
-	case "MINVAL":
-		return verbMinvals
-	default:
-		// E.g. CSHIFT -> "Cshifts".
-		return nv.VerbID(intr[:1] + strings.ToLower(intr[1:]) + "s")
-	}
-}
-
-// Monitor is the monitoring code of Section 4.2 packaged for library
-// users: dyninst snippets that notify per-node SASes when high-level
-// sentences (statement executes, array reduces) become active, and that
-// measure the low-level send events against registered questions. Build
-// one with Session.EnableSASMonitor before Run; ask questions with Ask.
-type Monitor struct {
-	session *Session
-	Reg     *sas.Registry
-	// Model describes the levels and verbs for snapshot formatting.
-	Model *nv.Registry
-	// Snapshot captures the first per-node SAS snapshot taken while a
-	// send fires with the trigger pattern active.
-	Snapshot     []sas.ActiveSentence
-	snapshotWant sas.Term
-	sendStart    []vtime.Time
-	// sendSents caches {Processor_n Sends} per node: the send snippets
-	// fire on every message, and rendering the noun name with Sprintf
-	// each time was a measurable slice of the Figure 6 run.
-	sendSents []nv.Sentence
-	// linkSents holds {link Routes} per interconnect link, under both
-	// directions of the link (the noun is undirected), so a routed
-	// message looks its hops up instead of rendering a noun name per hop.
-	linkSents map[machine.Link]nv.Sentence
-	// links holds the reliable cross-node links created with
-	// ExportReliable, in creation order, for the degradation report.
-	links []*sas.ReliableLink
-}
-
-// wireSAS is the internal constructor behind Session.EnableSASMonitor.
-// It installs the monitoring instrumentation on a session. The
-// sentences it maintains per node:
-//
-//	{lineN Executes}            while the statement's block runs
-//	{A Sums} / {B Maxvals} ...  while a reduction block for that array runs
-//	{Processor_n Sends}         during each point-to-point send (also
-//	                            recorded as a measured event with its span)
-func wireSAS(s *Session, filter bool) *Monitor {
-	w := &Monitor{
-		session: s,
-		// The monitor's notifications all run on the driving goroutine
-		// (dyninst snippets), so its SASes may record observability
-		// spans when the session has a plane.
-		Reg:       sas.NewRegistry(sas.Options{Filter: filter, Obs: s.obsPlane}),
-		Model:     nv.NewRegistry(),
-		sendStart: make([]vtime.Time, s.Machine.Nodes()),
-		sendSents: make([]nv.Sentence, s.Machine.Nodes()),
-		linkSents: make(map[machine.Link]nv.Sentence),
-	}
-	for n := range w.sendSents {
-		w.sendSents[n] = sendSentence(n)
-	}
-	s.monitor = w
-	if s.obsPlane != nil {
-		registerSASCollectors(s.obsPlane.Metrics, "nvmap_sas", "monitor", w.Reg, s.Machine.Nodes)
-	}
-	_ = w.Model.AddLevel(nv.Level{ID: "HPF", Name: "HPF", Rank: 2})
-	_ = w.Model.AddLevel(nv.Level{ID: "Base", Name: "Base", Rank: 0})
-	for _, v := range []nv.VerbID{verbExecutes, verbSums, verbMaxvals, verbMinvals} {
-		_ = w.Model.AddVerb(nv.Verb{ID: v, Level: "HPF"})
-	}
-	_ = w.Model.AddVerb(nv.Verb{ID: verbSends, Level: "Base"})
-
-	// Statement and array activity from the node code blocks.
-	for _, blk := range s.Program.Blocks {
-		b := blk
-		vocab := w.blockSentences(b)
-		sentences := vocab.sents
-		s.Inst.Insert(dyninst.Entry(b.Name), dyninst.Snippet{
-			Name: vocab.nameAct,
-			Do: func(ctx dyninst.Context) {
-				w.Reg.Node(ctx.Node).ActivateAll(sentences, ctx.Now)
-			},
-		})
-		s.Inst.Insert(dyninst.Exit(b.Name), dyninst.Snippet{
-			Name: vocab.nameDeact,
-			Do: func(ctx dyninst.Context) {
-				_ = w.Reg.Node(ctx.Node).DeactivateAll(sentences, ctx.Now)
-			},
-		})
-	}
-
-	// Send events from the runtime.
-	s.Inst.Insert(dyninst.Entry(cmrts.RoutineSend), dyninst.Snippet{
-		Name: "sas: send begins",
-		Do: func(ctx dyninst.Context) {
-			node := w.Reg.Node(ctx.Node)
-			sn := w.sendSents[ctx.Node]
-			w.sendStart[ctx.Node] = ctx.Now
-			node.Activate(sn, ctx.Now)
-			if w.Snapshot == nil && w.snapshotWant.Verb != "" {
-				for _, a := range node.Snapshot() {
-					if w.snapshotWant.Matches(a.Sentence) {
-						w.Snapshot = node.Snapshot()
-						break
-					}
-				}
-			}
-		},
-	})
-	s.Inst.Insert(dyninst.Exit(cmrts.RoutineSend), dyninst.Snippet{
-		Name: "sas: send ends",
-		Do: func(ctx dyninst.Context) {
-			node := w.Reg.Node(ctx.Node)
-			sn := w.sendSents[ctx.Node]
-			_ = node.Deactivate(sn, ctx.Now)
-			start := w.sendStart[ctx.Node]
-			node.RecordEvent(sn, ctx.Now, 1)
-			node.RecordSpan(sn, start, ctx.Now, ctx.Now.Sub(start))
-		},
-	})
-
-	// Link traffic from the interconnect, when the machine has a
-	// topology: every link a message crosses fires a {link Routes} event
-	// on the sender's SAS. The route happens inside the runtime's send
-	// routine, so {lineN Executes} and {Processor_n Sends} are active and
-	// questions like "which statement causes cross-link traffic" pair the
-	// hardware sentence with the source statement for free.
-	if topo := s.Machine.Topology(); topo != nil {
-		_ = w.Model.AddLevel(nv.Level{
-			ID: nv.LevelIDHardware, Name: string(nv.LevelIDHardware), Rank: nv.RankHardware})
-		_ = w.Model.AddVerb(nv.Verb{ID: verbRoutes, Level: nv.LevelIDHardware})
-		for hw := 0; hw < topo.HWNodes(); hw++ {
-			// Register every link noun up front (same adjacency as
-			// pifgen.FromTopology) so snapshot formatting and questions
-			// can name them before traffic flows.
-			x, y := topo.Coord(hw)
-			var neighbours []int
-			if x+1 < topo.GridX {
-				neighbours = append(neighbours, topo.HWAt(x+1, y))
-			} else if topo.Torus && topo.GridX > 2 {
-				neighbours = append(neighbours, topo.HWAt(0, y))
-			}
-			if y+1 < topo.GridY {
-				neighbours = append(neighbours, topo.HWAt(x, y+1))
-			} else if topo.Torus && topo.GridY > 2 {
-				neighbours = append(neighbours, topo.HWAt(x, 0))
-			}
-			for _, nb := range neighbours {
-				noun := w.linkSentence(machine.Link{From: hw, To: nb}).Nouns[0]
-				if _, ok := w.Model.Noun(noun); !ok {
-					_ = w.Model.AddNoun(nv.Noun{ID: noun, Level: nv.LevelIDHardware})
-				}
-			}
-		}
-		s.Machine.OnRoute(func(from, to, bytes int, links []machine.Link, at vtime.Time) {
-			node := w.Reg.Node(from)
-			for _, l := range links {
-				node.RecordEvent(w.linkSentence(l), at, 1)
-			}
-		})
-	}
-	return w
-}
-
-// linkSentence returns {link Routes} for an interconnect link, resolving
-// it (for both directions) on first sight; wireSAS sees every link of
-// the topology while registering the link nouns.
-func (w *Monitor) linkSentence(l machine.Link) nv.Sentence {
-	sn, ok := w.linkSents[l]
-	if !ok {
-		sn = nv.NewSentence(verbRoutes, nv.NounID(pifgen.LinkNoun(l)))
-		w.linkSents[l] = sn
-		w.linkSents[machine.Link{From: l.To, To: l.From}] = sn
-	}
-	return sn
-}
-
-// blockVocab is the cached sentence set and noun/verb vocabulary a
-// block's execution activates. Compiled programs (and so their block
-// pointers) are shared across sessions by the compile cache, and the
-// sentences depend only on the block, so the set is built once per block
-// and re-registered into each session's model.
-type blockVocab struct {
-	sents []nv.Sentence
-	nouns []nv.NounID
-	verbs []nv.VerbID
-	// Snippet names for the block's entry/exit instrumentation; built
-	// here so per-session wiring skips the string concatenation.
-	nameAct   string
-	nameDeact string
-}
-
-var blockVocabCache struct {
-	sync.Mutex
-	m map[*cmf.Block]*blockVocab
-}
-
-// blockSentences returns the block's cached vocabulary (sentences its
-// execution activates plus instrumentation labels), registering the
-// nouns and verbs in the monitor's model.
-func (w *Monitor) blockSentences(b *cmf.Block) *blockVocab {
-	blockVocabCache.Lock()
-	v, ok := blockVocabCache.m[b]
-	if !ok {
-		v = buildBlockVocab(b)
-		if blockVocabCache.m == nil || len(blockVocabCache.m) >= 256 {
-			blockVocabCache.m = make(map[*cmf.Block]*blockVocab)
-		}
-		blockVocabCache.m[b] = v
-	}
-	blockVocabCache.Unlock()
-	for _, noun := range v.nouns {
-		if _, ok := w.Model.Noun(noun); !ok {
-			_ = w.Model.AddNoun(nv.Noun{ID: noun, Level: "HPF"})
-		}
-	}
-	for _, verb := range v.verbs {
-		if _, ok := w.Model.Verb(verb); !ok {
-			_ = w.Model.AddVerb(nv.Verb{ID: verb, Level: "HPF"})
-		}
-	}
-	return v
-}
-
-func buildBlockVocab(b *cmf.Block) *blockVocab {
-	v := &blockVocab{}
-	for _, line := range b.Lines {
-		noun := nv.NounID("line" + strconv.Itoa(line))
-		v.sents = append(v.sents, nv.NewSentence(verbExecutes, noun))
-		v.nouns = append(v.nouns, noun)
-	}
-	if b.Kind == cmf.KindReduce || b.Kind == cmf.KindTransform {
-		verb := verbForIntrinsic(b.Intrinsic)
-		for _, arr := range b.Arrays {
-			v.sents = append(v.sents, nv.NewSentence(verb, nv.NounID(arr)))
-			v.nouns = append(v.nouns, nv.NounID(arr))
-			v.verbs = append(v.verbs, verb)
-		}
-	}
-	v.nameAct = "sas: activate " + b.Name
-	v.nameDeact = "sas: deactivate " + b.Name
-	return v
-}
-
-// sendSentCache memoizes {Processor_n Sends} sentences by node index:
-// the sentence (and its formatted noun) depends only on the node number,
-// and every session re-derives one per node.
-var sendSentCache struct {
-	sync.Mutex
-	sents []nv.Sentence
-}
-
-func sendSentence(node int) nv.Sentence {
-	c := &sendSentCache
-	c.Lock()
-	defer c.Unlock()
-	for len(c.sents) <= node {
-		n := len(c.sents)
-		c.sents = append(c.sents,
-			nv.NewSentence(verbSends, nv.NounID("Processor_"+strconv.Itoa(n))))
-	}
-	return c.sents[node]
-}
-
 // ExperimentFig5 regenerates Figures 4 and 5: running the HPF fragment
 // and snapshotting a node's SAS at the moment a message is sent as part
 // of SUM(A).
@@ -329,19 +38,25 @@ func ExperimentFig5() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	w := wireSAS(s, false)
-	w.snapshotWant = sas.T(verbSums, sas.Any)
+	m := s.EnableSASMonitor(false)
+	m.SnapshotWhen(sas.T(verbSums, sas.Any))
 	if _, err := s.Run(); err != nil {
 		return "", err
 	}
-	if w.Snapshot == nil {
+	if m.Snapshot == nil {
 		return "", fmt.Errorf("fig5: no send occurred while an array was being summed")
 	}
+	// The fragment's lines come from the source under their real numbers,
+	// the ones its {lineN Executes} sentences carry.
 	var b strings.Builder
 	b.WriteString("HPF fragment (Figure 4):\n")
-	b.WriteString("  1   ASUM = SUM(A)\n  2   BMAX = MAXVAL(B)\n\n")
-	b.WriteString("The SAS when a message is sent during SUM(A) (Figure 5):\n\n")
-	b.WriteString(indent(sas.FormatSnapshot(w.Snapshot, w.Model), "  "))
+	for i, line := range strings.Split(hpfProgram, "\n") {
+		if strings.HasPrefix(line, "ASUM =") || strings.HasPrefix(line, "BMAX =") {
+			fmt.Fprintf(&b, "  %-3d %s\n", i+1, line)
+		}
+	}
+	b.WriteString("\nThe SAS when a message is sent during SUM(A) (Figure 5):\n\n")
+	b.WriteString(indent(sas.FormatSnapshot(m.Snapshot, m.Model), "  "))
 	b.WriteString("\n(each line represents one active sentence)\n")
 	return b.String(), nil
 }
@@ -356,15 +71,12 @@ type fig6Result struct {
 
 // runFig6 runs the HPF fragment with the Figure 6 questions registered on
 // every node's SAS and returns the aggregated answers.
-func runFig6(filter bool) ([]fig6Result, *Monitor, error) {
+func runFig6(filter bool) ([]fig6Result, error) {
 	s, err := NewSession(hpfProgram, WithNodes(4), WithSourceFile("hpf.fcm"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w := wireSAS(s, filter)
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		w.Reg.Node(n)
-	}
+	m := s.EnableSASMonitor(filter)
 	questions := []struct {
 		q       sas.Question
 		meaning string
@@ -378,23 +90,21 @@ func runFig6(filter bool) ([]fig6Result, *Monitor, error) {
 		{sas.Q("{? Sums}, {Processor_1 Sends}", sas.T(verbSums, sas.Any), sas.T(verbSends, "Processor_1")),
 			"Cost of sends by 1 while anything is being summed?"},
 	}
-	ids := make([]map[int]sas.QuestionID, len(questions))
+	asked := make([]*AskedQuestion, len(questions))
 	for i, q := range questions {
-		m, err := w.Reg.AddQuestionAll(q.q)
-		if err != nil {
-			return nil, nil, err
+		if asked[i], err = m.AskQuestion(q.q); err != nil {
+			return nil, err
 		}
-		ids[i] = m
 	}
 	if _, err := s.Run(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	now := s.Now()
 	out := make([]fig6Result, len(questions))
 	for i, q := range questions {
-		agg, err := w.Reg.AggregateResult(ids[i], now)
+		agg, err := asked[i].Answer(now)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out[i] = fig6Result{
 			Question: q.q.Label,
@@ -403,7 +113,7 @@ func runFig6(filter bool) ([]fig6Result, *Monitor, error) {
 			Time:     agg.EventTime + agg.SatisfiedTime,
 		}
 	}
-	return out, w, nil
+	return out, nil
 }
 
 // ExperimentFig6 regenerates Figure 6: the example performance questions,
@@ -411,7 +121,7 @@ func runFig6(filter bool) ([]fig6Result, *Monitor, error) {
 // counts and send time; the {A Sums} gate reports time A spent being
 // summed.
 func ExperimentFig6() (string, error) {
-	results, _, err := runFig6(false)
+	results, err := runFig6(false)
 	if err != nil {
 		return "", err
 	}
@@ -478,11 +188,10 @@ func AblationSASFilter() (string, error) {
 	fmt.Fprintf(&b, "Questions ask only about A; the program also executes MAXVAL(B).\n\n")
 	fmt.Fprintf(&b, "%-12s %14s %10s %10s %13s\n", "mode", "notifications", "ignored", "stored", "evaluations")
 	for _, filter := range []bool{false, true} {
-		results, w, err := runFig6filterAOnly(filter)
+		count, st, err := runFig6filterAOnly(filter)
 		if err != nil {
 			return "", err
 		}
-		st := w.Reg.TotalStats()
 		mode := "unfiltered"
 		if filter {
 			mode = "filtered"
@@ -490,37 +199,34 @@ func AblationSASFilter() (string, error) {
 		fmt.Fprintf(&b, "%-12s %14d %10d %10d %13d\n",
 			mode, st.Notifications, st.Ignored, st.Stored, st.Evaluations)
 		// Answers must be identical either way.
-		if results[0].Count != 3 {
-			return "", fmt.Errorf("ablsas: sends during SUM(A) = %g, want 3", results[0].Count)
+		if count != 3 {
+			return "", fmt.Errorf("ablsas: sends during SUM(A) = %g, want 3", count)
 		}
 	}
 	b.WriteString("\nFiltering leaves every answer unchanged while storing only relevant\nsentences; the notification cost itself remains, as the paper notes.\n")
 	return b.String(), nil
 }
 
-// runFig6filterAOnly runs the fragment with a single question about A.
-func runFig6filterAOnly(filter bool) ([]fig6Result, *Monitor, error) {
+// runFig6filterAOnly runs the fragment with a single question about A
+// and returns its answer's count and the session's SAS statistics.
+func runFig6filterAOnly(filter bool) (float64, sas.Stats, error) {
 	s, err := NewSession(hpfProgram, WithNodes(4), WithSourceFile("hpf.fcm"))
 	if err != nil {
-		return nil, nil, err
+		return 0, sas.Stats{}, err
 	}
-	w := wireSAS(s, filter)
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		w.Reg.Node(n)
-	}
-	ids, err := w.Reg.AddQuestionAll(sas.Q("sends during SUM(A)",
+	q, err := s.EnableSASMonitor(filter).AskQuestion(sas.Q("sends during SUM(A)",
 		sas.T(verbSums, "A"), sas.T(verbSends, sas.Any)))
 	if err != nil {
-		return nil, nil, err
+		return 0, sas.Stats{}, err
 	}
 	if _, err := s.Run(); err != nil {
-		return nil, nil, err
+		return 0, sas.Stats{}, err
 	}
-	agg, err := w.Reg.AggregateResult(ids, s.Now())
+	agg, err := q.Answer(s.Now())
 	if err != nil {
-		return nil, nil, err
+		return 0, sas.Stats{}, err
 	}
-	return []fig6Result{{Question: "sends during SUM(A)", Count: agg.Count}}, w, nil
+	return agg.Count, s.Tool.SASes.TotalStats(), nil
 }
 
 // AblationOrderedQuestions demonstrates limitation 3 of Section 4.2.4 and
@@ -534,10 +240,7 @@ func AblationOrderedQuestions() (string, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		w := wireSAS(s, false)
-		for n := 0; n < s.Machine.Nodes(); n++ {
-			w.Reg.Node(n)
-		}
+		m := s.EnableSASMonitor(false)
 		qSends := sas.Question{
 			Label:   "messages sent for summation of A",
 			Terms:   []sas.Term{sas.T(verbSums, "A"), sas.T(verbSends, sas.Any)},
@@ -548,22 +251,22 @@ func AblationOrderedQuestions() (string, error) {
 			Terms:   []sas.Term{sas.T(verbSends, sas.Any), sas.T(verbSums, "A")},
 			Ordered: ordered,
 		}
-		idsSends, err := w.Reg.AddQuestionAll(qSends)
+		askedSends, err := m.AskQuestion(qSends)
 		if err != nil {
 			return 0, 0, err
 		}
-		idsSums, err := w.Reg.AddQuestionAll(qSums)
+		askedSums, err := m.AskQuestion(qSums)
 		if err != nil {
 			return 0, 0, err
 		}
 		if _, err := s.Run(); err != nil {
 			return 0, 0, err
 		}
-		a1, err := w.Reg.AggregateResult(idsSends, s.Now())
+		a1, err := askedSends.Answer(s.Now())
 		if err != nil {
 			return 0, 0, err
 		}
-		a2, err := w.Reg.AggregateResult(idsSums, s.Now())
+		a2, err := askedSums.Answer(s.Now())
 		if err != nil {
 			return 0, 0, err
 		}

@@ -94,7 +94,7 @@ func TestExperimentFig5SnapshotShape(t *testing.T) {
 }
 
 func TestExperimentFig6Answers(t *testing.T) {
-	results, _, err := runFig6(false)
+	results, err := runFig6(false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,8 @@ func dedupSorted(xs []string) []string {
 // enables snapshot recovery on persistent gaps. The link's Flush models
 // the sender's retransmit timer; the session report collects its stats.
 func (m *Monitor) ExportReliable(fromNode, toNode int, pattern sas.Term) (*sas.ReliableLink, error) {
-	from, to := m.Reg.Node(fromNode), m.Reg.Node(toNode)
+	reg := m.session.Tool.SASes
+	from, to := reg.Node(fromNode), reg.Node(toNode)
 	var inner sas.Transport
 	resync := true
 	if inj := m.session.faults; inj != nil {

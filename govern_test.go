@@ -320,3 +320,22 @@ func TestBudgetShedDegradesBeforeFailing(t *testing.T) {
 		t.Fatalf("report does not render shedding:\n%s", rep)
 	}
 }
+
+// TestActiveSentenceBudgetCountsMonitorSentences: MaxActiveSentences caps
+// the summed active-set size of every node's SAS, and the monitor's
+// sentences live in those SASes. A monitor-only session, with no gating,
+// must be cut by a budget of one active sentence.
+func TestActiveSentenceBudgetCountsMonitorSentences(t *testing.T) {
+	s, err := NewSession(hpfProgram, WithNodes(4),
+		WithBudget(Budget{MaxActiveSentences: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.EnableSASMonitor(false).Ask("", "{A Sums}"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run()
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("Run = %v, want ErrBudgetExceeded", err)
+	}
+}

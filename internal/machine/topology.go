@@ -110,6 +110,27 @@ func (t *Topology) Coord(hw int) (x, y int) { return hw % t.GridX, hw / t.GridX 
 // HWAt returns the hardware node at grid coordinates (x, y).
 func (t *Topology) HWAt(x, y int) int { return y*t.GridX + x }
 
+// Links returns every interconnect link once, in hardware-node order:
+// each node's link to its +x and then its +y neighbour, wrapping around
+// on a torus dimension wider than two.
+func (t *Topology) Links() []Link {
+	var out []Link
+	for hw := 0; hw < t.HWNodes(); hw++ {
+		x, y := t.Coord(hw)
+		if x+1 < t.GridX {
+			out = append(out, Link{From: hw, To: t.HWAt(x+1, y)})
+		} else if t.Torus && t.GridX > 2 {
+			out = append(out, Link{From: hw, To: t.HWAt(0, y)})
+		}
+		if y+1 < t.GridY {
+			out = append(out, Link{From: hw, To: t.HWAt(x, y+1)})
+		} else if t.Torus && t.GridY > 2 {
+			out = append(out, Link{From: hw, To: t.HWAt(x, 0)})
+		}
+	}
+	return out
+}
+
 // steps returns the signed number of unit steps to travel d positions
 // along a dimension of the given size. On a torus the shorter direction
 // wins; an exact tie (d == size/2 on an even ring) goes positive, so

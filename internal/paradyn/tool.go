@@ -70,7 +70,9 @@ type Tool struct {
 	Axis *WhereAxis
 	// Loaded holds static mapping information once LoadPIF has run.
 	Loaded *pif.Loaded
-	// SASes are the per-node Sets of Active Sentences.
+	// SASes are the per-node Sets of Active Sentences: one per node for
+	// the whole session, holding the gating sentences and any other
+	// level's (a SAS monitor registers its questions here too).
 	SASes *sas.Registry
 
 	// Dynamic mapping state (Section 6.1).
@@ -711,12 +713,14 @@ func sameDispatch(g []nv.Sentence, tag string, args []string) bool {
 // dispatcher notifies the SAS of array activation/deactivation by
 // sending the input arguments for each node code block to the SAS"
 // (Section 6.1). Each fire is one notification batch to the node's SAS.
-// Metric predicates for array and statement foci read these sentences.
+// Metric predicates for array and statement foci read these sentences,
+// so relevance filtering on the SASes must never drop them.
 func (t *Tool) EnableGating() {
 	if t.gating {
 		return
 	}
 	t.gating = true
+	t.SASes.Keep(VerbBlockExec, VerbArrayActive)
 	t.inst.Insert(dyninst.Entry(cmrts.RoutineDispatch), dyninst.Snippet{
 		Name: "paradyn gating: block entry",
 		Do: func(ctx dyninst.Context) {

@@ -286,34 +286,16 @@ func FromTopology(t *machine.Topology, placement []int, nodes int) *pif.File {
 			Description: "interconnect links",
 		})
 		seen := map[string]bool{}
-		for hw := 0; hw < t.HWNodes(); hw++ {
-			x, y := t.Coord(hw)
-			neighbours := make([]int, 0, 2)
-			if t.GridX > 1 {
-				if x+1 < t.GridX {
-					neighbours = append(neighbours, t.HWAt(x+1, y))
-				} else if t.Torus && t.GridX > 2 {
-					neighbours = append(neighbours, t.HWAt(0, y))
-				}
+		for _, l := range t.Links() {
+			name := LinkNoun(l)
+			if seen[name] {
+				continue
 			}
-			if t.GridY > 1 {
-				if y+1 < t.GridY {
-					neighbours = append(neighbours, t.HWAt(x, y+1))
-				} else if t.Torus && t.GridY > 2 {
-					neighbours = append(neighbours, t.HWAt(x, 0))
-				}
-			}
-			for _, nb := range neighbours {
-				name := LinkNoun(machine.Link{From: hw, To: nb})
-				if seen[name] {
-					continue
-				}
-				seen[name] = true
-				f.Nouns = append(f.Nouns, pif.NounRecord{
-					Name: name, Abstraction: hwLevel, Parent: RootLinks,
-					Description: fmt.Sprintf("interconnect link hw%d-hw%d", min(hw, nb), max(hw, nb)),
-				})
-			}
+			seen[name] = true
+			f.Nouns = append(f.Nouns, pif.NounRecord{
+				Name: name, Abstraction: hwLevel, Parent: RootLinks,
+				Description: fmt.Sprintf("interconnect link hw%d-hw%d", min(l.From, l.To), max(l.From, l.To)),
+			})
 		}
 	}
 

@@ -142,6 +142,9 @@ type Registry struct {
 	// so the mutex was pure overhead on the hot path.
 	dense atomic.Pointer[[]*SAS]
 	opts  Options
+	// keep is the verbs every SAS keeps under filtering (see Keep). It
+	// only grows, so a SAS may share it.
+	keep []nv.VerbHandle
 	// asked remembers every question registered through AddQuestionAll,
 	// in order, so ResetNode can re-register them after a crash with the
 	// same sequentially assigned QuestionIDs.
@@ -172,6 +175,7 @@ func (r *Registry) Node(node int) *SAS {
 		o := r.opts
 		o.Node = node
 		s = New(o)
+		s.keep = r.keep
 		r.nodes[node] = s
 		// Rebuild the sorted snapshot rather than inserting in place:
 		// readers hold the old slice lock-free.
@@ -267,6 +271,38 @@ func (r *Registry) AggregateResult(ids map[int]QuestionID, now vtime.Time) (Resu
 		agg.Satisfied = agg.Satisfied || res.Satisfied
 	}
 	return agg, nil
+}
+
+// SetFilter turns relevance filtering (Options.Filter) on or off for
+// every materialised SAS and every later one.
+func (r *Registry) SetFilter(on bool) {
+	r.mu.Lock()
+	r.opts.Filter = on
+	nodes := r.sorted
+	r.mu.Unlock()
+	for _, s := range nodes {
+		s.structMu.Lock()
+		s.filter = on
+		s.structMu.Unlock()
+	}
+}
+
+// Keep marks verbs whose sentences relevance filtering never drops, on
+// every materialised SAS and every later one: a consumer that reads the
+// active set directly (Active, Snapshot) rather than through a question
+// declares its verbs here.
+func (r *Registry) Keep(verbs ...nv.VerbID) {
+	r.mu.Lock()
+	for _, v := range verbs {
+		r.keep = append(r.keep, nv.DefaultInterner.Verb(v))
+	}
+	keep, nodes := r.keep, r.sorted
+	r.mu.Unlock()
+	for _, s := range nodes {
+		s.structMu.Lock()
+		s.keep = keep
+		s.structMu.Unlock()
+	}
 }
 
 // TotalStats sums the notification statistics over every node.

@@ -144,3 +144,36 @@ func TestCrossNodeExportUnderConcurrentAppliers(t *testing.T) {
 		t.Fatal("server accounted no query activity")
 	}
 }
+
+// TestRegistryKeepAndSetFilter: SetFilter and Keep reach the SASes
+// already materialised and the ones created later, and a kept verb's
+// sentences are stored under filtering even when no question names
+// them.
+func TestRegistryKeepAndSetFilter(t *testing.T) {
+	r := NewRegistry(Options{})
+	r.Node(0)
+	r.SetFilter(true)
+	r.Keep("Busy")
+	r.Node(1)
+	if _, err := r.AddQuestionAll(Q("onlyA", T("Sum", "A"))); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ {
+		s := r.Node(n)
+		s.Activate(sent("Busy", "blk"), 10) // kept: no question, still stored
+		s.Activate(sent("Max", "B"), 20)    // neither kept nor asked: filtered
+		s.Activate(sent("Sum", "A"), 30)    // asked
+		if !s.Active(sent("Busy", "blk")) || s.Active(sent("Max", "B")) || s.Size() != 2 {
+			t.Fatalf("node %d: active set %v, want {blk Busy} and {A Sum}", n, s.Snapshot())
+		}
+	}
+	r.SetFilter(false)
+	r.Node(2)
+	for n := 0; n < 3; n++ {
+		s := r.Node(n)
+		s.Activate(sent("Max", "C"), 40)
+		if !s.Active(sent("Max", "C")) {
+			t.Fatalf("node %d dropped a sentence with filtering off", n)
+		}
+	}
+}

@@ -371,12 +371,17 @@ func (sh *columns) appendRows(dst []ActiveSentence, keep func(row int) bool) []A
 // be shared by several goroutines — all methods are safe for concurrent
 // use, under one lock, at the synchronisation cost the paper warns about.
 type SAS struct {
-	node   int
-	filter bool
+	node int
 
 	// structMu is the one lock: it guards every field below; see the
 	// package comment.
 	structMu sync.Mutex
+
+	// filter switches relevance filtering on (Options.Filter,
+	// Registry.SetFilter); keep holds the verbs it never drops
+	// (Registry.Keep).
+	filter bool
+	keep   []nv.VerbHandle
 
 	act columns
 	// colBuf backs the initial column windows; see carveColumns.
@@ -731,10 +736,14 @@ func (s *SAS) eachCandidate(sn *nv.Sentence, fn func(*questionState)) {
 	}
 }
 
-// relevant reports whether any registered question pattern could match
-// sn. Only indexed candidates are consulted; completeness of the index
-// makes the answer equal to a scan of every question.
+// relevant reports whether sn has a kept verb or any registered question
+// pattern could match it. Only indexed candidates are consulted;
+// completeness of the index makes the answer equal to a scan of every
+// question.
 func (s *SAS) relevant(sn *nv.Sentence) bool {
+	if slices.Contains(s.keep, nv.VerbHandleOf(sn)) {
+		return true
+	}
 	rel := false
 	s.eachCandidate(sn, func(st *questionState) {
 		if rel {

@@ -1,8 +1,10 @@
 package nvmap
 
 import (
+	"strings"
 	"testing"
 
+	"nvmap/internal/paradyn"
 	"nvmap/internal/sas"
 )
 
@@ -87,7 +89,7 @@ func TestMonitorStatsAndFiltering(t *testing.T) {
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.Stats()
+		return s.Tool.SASes.TotalStats()
 	}
 	unfiltered := run(false)
 	filtered := run(true)
@@ -120,5 +122,138 @@ func TestMonitorOrderedQuestionText(t *testing.T) {
 	// A summation never begins inside a send.
 	if r.Count != 0 {
 		t.Fatalf("ordered count = %g, want 0", r.Count)
+	}
+}
+
+// TestMonitorSnapshotLabelsEveryLevel: with gating on, the tool's
+// sentences are active in the same SAS as the monitor's, and a Figure 5
+// snapshot names each sentence's level — none prints as "?".
+func TestMonitorSnapshotLabelsEveryLevel(t *testing.T) {
+	s, err := NewSession(hpfProgram, WithNodes(4), WithSourceFile("hpf.fcm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tool.EnableGating()
+	m := s.EnableSASMonitor(false)
+	m.SnapshotWhen(sas.T(verbSums, "A"))
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Snapshot == nil {
+		t.Fatal("snapshot trigger never fired")
+	}
+	text := sas.FormatSnapshot(m.Snapshot, m.Model)
+	if strings.Contains(text, "?:") {
+		t.Errorf("snapshot has an unlabelled sentence:\n%s", text)
+	}
+	found := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "CMRTS:") && strings.Contains(line, string(paradyn.VerbBlockExec)) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("snapshot has no CMRTS BlockExecutes sentence:\n%s", text)
+	}
+}
+
+// TestEnableSASMonitorIsIdempotent: a second EnableSASMonitor returns the
+// monitor already installed, rather than a second snippet set on the
+// same SASes that would count every send twice.
+func TestEnableSASMonitorIsIdempotent(t *testing.T) {
+	s, err := NewSession(hpfProgram, WithNodes(4), WithSourceFile("hpf.fcm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.EnableSASMonitor(false)
+	if again := s.EnableSASMonitor(true); again != m {
+		t.Fatal("second EnableSASMonitor built a new monitor")
+	}
+	q, err := m.Ask("", "{A Sums}, {? Sends}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := q.Answer(s.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Count != 3 {
+		t.Fatalf("sends during SUM(A) = %g, want 3", r.Count)
+	}
+	// The first call's filter stands: nothing was filtered.
+	if st := s.Tool.SASes.TotalStats(); st.Ignored != 0 {
+		t.Fatalf("the second call's filter took effect: %+v", st)
+	}
+}
+
+// TestFilteredMonitorKeepsGatingSentences: the monitor's relevance filter
+// covers the tool's gating sentences too, since they share one SAS per
+// node. Array- and statement-focus metrics read those sentences, so a
+// filtered run must give the same metric values and answer as an
+// unfiltered one.
+func TestFilteredMonitorKeepsGatingSentences(t *testing.T) {
+	type outcome struct {
+		vals   []float64
+		answer sas.Result
+		stats  sas.Stats
+	}
+	run := func(filter bool) outcome {
+		s, err := NewSession(hpfProgram, WithNodes(4), WithSourceFile("hpf.fcm"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Tool.EnableDynamicMapping()
+		s.Tool.EnableGating()
+		q, err := s.EnableSASMonitor(filter).Ask("", "{A Sums}, {? Sends}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ems []*paradyn.EnabledMetric
+		for _, f := range []struct{ hier, name, metric string }{
+			{paradyn.HierArrays, "A", "summations"},
+			{paradyn.HierArrays, "B", "computations"},
+			{paradyn.HierStmts, "line11", "summations"},
+			{paradyn.HierStmts, "line11", "point_to_point_ops"},
+		} {
+			focus, err := paradyn.NewFocus(s.Tool.Axis.AddPath(f.hier, f.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			em, err := s.Tool.EnableMetric(f.metric, focus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ems = append(ems, em)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		for _, em := range ems {
+			o.vals = append(o.vals, em.Value(s.Now()))
+		}
+		if o.answer, err = q.Answer(s.Now()); err != nil {
+			t.Fatal(err)
+		}
+		o.stats = s.Tool.SASes.TotalStats()
+		return o
+	}
+	plain, filtered := run(false), run(true)
+	for i, v := range plain.vals {
+		if v == 0 {
+			t.Fatalf("metric %d reads 0 unfiltered; the comparison shows nothing", i)
+		}
+		if filtered.vals[i] != v {
+			t.Errorf("metric %d: filtered %g, unfiltered %g", i, filtered.vals[i], v)
+		}
+	}
+	if a, b := filtered.answer, plain.answer; a.Count != b.Count || a.EventTime != b.EventTime || a.SatisfiedTime != b.SatisfiedTime {
+		t.Errorf("answer: filtered %+v, unfiltered %+v", filtered.answer, plain.answer)
+	}
+	if filtered.stats.Ignored == 0 {
+		t.Errorf("the filter ignored nothing: %+v", filtered.stats)
 	}
 }

@@ -125,7 +125,7 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 			obs.KindGauge, false, netStat(func(st machine.NetStats) float64 { return float64(st.MaxLinkMsgs) }))
 	}
 
-	registerSASCollectors(r, "nvmap_sas", "tool", s.Tool.SASes, s.Machine.Nodes)
+	registerSASCollectors(r, s.Tool.SASes, s.Machine.Nodes)
 
 	r.Func("nvmap_dyninst_inserted_total", "Instrumentation snippets inserted.",
 		obs.KindCounter, false, func() float64 { return float64(s.Inst.Stats().Inserted) })
@@ -179,28 +179,27 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 		obs.KindCounter, false, fr(func(st fault.Report) float64 { return float64(st.DeadTime) }))
 }
 
-// registerSASCollectors publishes one SAS registry's aggregate
-// notification statistics, question-index posting sizes and column
-// occupancy under a name prefix with a which label ("tool" for the
-// measurement tool's gating SASes, "monitor" for EnableSASMonitor's).
-func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Registry, nodes func() int) {
-	lbl := "{sas=\"" + which + "\"}"
+// registerSASCollectors publishes the session's SAS registry — one SAS
+// per node, holding the tool's gating sentences and the monitor's — as
+// aggregate notification statistics, question-index posting sizes and
+// column occupancy.
+func registerSASCollectors(r *obs.Registry, reg *sas.Registry, nodes func() int) {
 	stat := func(read func(sas.Stats) float64) func() float64 {
 		return func() float64 { return read(reg.TotalStats()) }
 	}
-	r.Func(prefix+"_notifications_total"+lbl, "Activation/deactivation notifications received.",
+	r.Func("nvmap_sas_notifications_total", "Activation/deactivation notifications received.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.Notifications) }))
-	r.Func(prefix+"_ignored_total"+lbl, "Notifications dropped by the relevance filter.",
+	r.Func("nvmap_sas_ignored_total", "Notifications dropped by the relevance filter.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.Ignored) }))
-	r.Func(prefix+"_stored_total"+lbl, "Notifications applied to the active sets.",
+	r.Func("nvmap_sas_stored_total", "Notifications applied to the active sets.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.Stored) }))
-	r.Func(prefix+"_evaluations_total"+lbl, "Question re-evaluations triggered.",
+	r.Func("nvmap_sas_evaluations_total", "Question re-evaluations triggered.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.Evaluations) }))
-	r.Func(prefix+"_events_total"+lbl, "Measured events recorded against active sentences.",
+	r.Func("nvmap_sas_events_total", "Measured events recorded against active sentences.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.Events) }))
-	r.Func(prefix+"_candidates_scanned_total"+lbl, "Question states consulted for measured events.",
+	r.Func("nvmap_sas_candidates_scanned_total", "Question states consulted for measured events.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.CandidatesScanned) }))
-	r.Func(prefix+"_matches_evaluated_total"+lbl, "Term-pattern match tests run.",
+	r.Func("nvmap_sas_matches_evaluated_total", "Term-pattern match tests run.",
 		obs.KindCounter, false, stat(func(st sas.Stats) float64 { return float64(st.MatchesEvaluated) }))
 	idx := func(read func(sas.IndexStats) float64) func() float64 {
 		return func() float64 {
@@ -211,13 +210,13 @@ func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Regis
 			return sum
 		}
 	}
-	r.Func(prefix+"_questions"+lbl, "Registered questions summed over the partition's SASes.",
+	r.Func("nvmap_sas_questions", "Registered questions summed over the partition's SASes.",
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.Questions) }))
-	r.Func(prefix+"_verb_postings"+lbl, "Verb-index postings summed over the partition's SASes.",
+	r.Func("nvmap_sas_verb_postings", "Verb-index postings summed over the partition's SASes.",
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.VerbPostings) }))
-	r.Func(prefix+"_noun_postings"+lbl, "Noun-index postings summed over the partition's SASes.",
+	r.Func("nvmap_sas_noun_postings", "Noun-index postings summed over the partition's SASes.",
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.NounPostings) }))
-	r.Func(prefix+"_wildcard_postings"+lbl, "Wildcard question postings summed over the partition's SASes.",
+	r.Func("nvmap_sas_wildcard_postings", "Wildcard question postings summed over the partition's SASes.",
 		obs.KindGauge, false, idx(func(st sas.IndexStats) float64 { return float64(st.WildcardPostings) }))
 	col := func(read func(sas.ColumnStats) float64) func() float64 {
 		return func() float64 {
@@ -228,14 +227,14 @@ func registerSASCollectors(r *obs.Registry, prefix, which string, reg *sas.Regis
 			return sum
 		}
 	}
-	r.Func(prefix+"_column_rows"+lbl, "Live columnar rows summed over the partition's SASes.",
+	r.Func("nvmap_sas_column_rows", "Live columnar rows summed over the partition's SASes.",
 		obs.KindGauge, false, col(func(st sas.ColumnStats) float64 { return float64(st.Rows) }))
 	// Capacity and compaction counts describe the storage layout, not the
 	// program — resizing the carved window moves both with every answer
 	// unchanged — so they stay out of the byte-stable export (the row
 	// total does not).
-	r.Func(prefix+"_column_capacity"+lbl, "Columnar row capacity summed over the partition's SASes.",
+	r.Func("nvmap_sas_column_capacity", "Columnar row capacity summed over the partition's SASes.",
 		obs.KindGauge, true, col(func(st sas.ColumnStats) float64 { return float64(st.Capacity) }))
-	r.Func(prefix+"_column_compactions_total"+lbl, "Swap-remove compactions summed over the partition's SASes.",
+	r.Func("nvmap_sas_column_compactions_total", "Swap-remove compactions summed over the partition's SASes.",
 		obs.KindCounter, true, col(func(st sas.ColumnStats) float64 { return float64(st.Compactions) }))
 }

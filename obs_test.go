@@ -152,23 +152,24 @@ func TestObsDisabled(t *testing.T) {
 	}
 }
 
-// TestMonitorStatsRegistryEquality pins the shim contract: the legacy
-// Monitor.Stats() accessor and the registry's monitor-SAS collectors
-// read the same counters, so their values are equal at any instant.
+// TestMonitorStatsRegistryEquality pins the collector contract for the
+// session's one SAS registry: the unlabelled nvmap_sas_* collectors read
+// the same counters as the registry's TotalStats, which sum the monitor's
+// notifications and the tool's gating ones, so their values are equal at
+// any instant.
 func TestMonitorStatsRegistryEquality(t *testing.T) {
 	s := obsSession(t)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mon := s.monitor
-	st := mon.Stats()
+	st := s.Tool.SASes.TotalStats()
 	reg := s.Observability().Metrics
 	for name, want := range map[string]float64{
-		"nvmap_sas_notifications_total{sas=\"monitor\"}": float64(st.Notifications),
-		"nvmap_sas_ignored_total{sas=\"monitor\"}":       float64(st.Ignored),
-		"nvmap_sas_stored_total{sas=\"monitor\"}":        float64(st.Stored),
-		"nvmap_sas_evaluations_total{sas=\"monitor\"}":   float64(st.Evaluations),
-		"nvmap_sas_events_total{sas=\"monitor\"}":        float64(st.Events),
+		"nvmap_sas_notifications_total": float64(st.Notifications),
+		"nvmap_sas_ignored_total":       float64(st.Ignored),
+		"nvmap_sas_stored_total":        float64(st.Stored),
+		"nvmap_sas_evaluations_total":   float64(st.Evaluations),
+		"nvmap_sas_events_total":        float64(st.Events),
 	} {
 		sample, ok := reg.Lookup(name)
 		if !ok {
@@ -176,15 +177,20 @@ func TestMonitorStatsRegistryEquality(t *testing.T) {
 			continue
 		}
 		if sample.Value != want {
-			t.Errorf("%s = %v, Monitor.Stats() says %v", name, sample.Value, want)
+			t.Errorf("%s = %v, TotalStats says %v", name, sample.Value, want)
 		}
 	}
-	if st.Notifications == 0 {
-		t.Error("workload produced no monitor notifications; equality check is vacuous")
+	if st.Events == 0 || st.Notifications == 0 {
+		t.Error("workload produced no SAS notifications or events; equality check is vacuous")
 	}
-	// The tool's gating SASes are registered under their own label.
-	if _, ok := reg.Lookup("nvmap_sas_notifications_total{sas=\"tool\"}"); !ok {
-		t.Error("tool SAS collectors not registered")
+	// One registry, one unlabelled collector set.
+	for _, name := range []string{
+		"nvmap_sas_notifications_total{sas=\"tool\"}",
+		"nvmap_sas_notifications_total{sas=\"monitor\"}",
+	} {
+		if _, ok := reg.Lookup(name); ok {
+			t.Errorf("labelled collector %s is still registered", name)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // measurement state. Recovery rebuilds it from three daemon-side
 // sources that survive the crash:
 //
-//   - periodic checkpoints of the node's SAS partitions and enabled
-//     metric primitives (versioned, checksummed snapshots in
+//   - periodic checkpoints of the node's SAS and enabled metric
+//     primitives (versioned, checksummed snapshots in
 //     internal/checkpoint), each carrying the journal cursors at capture
 //     time;
 //   - journals of every SAS record and probe fire since — the
@@ -67,13 +67,13 @@ type instFire struct {
 
 // nodeCheckpoint is the serialized per-node snapshot payload. The
 // cursors index the session journals at capture time: recovery restores
-// the snapshot and replays everything after the cursors.
+// the snapshot and replays everything after the cursors. The store is
+// in memory and lives for one session, so a payload is only ever read
+// back by the code that wrote it; the shape carries no version.
 type nodeCheckpoint struct {
-	Monitor     *sas.State `json:",omitempty"`
-	Tool        *sas.State `json:",omitempty"`
+	SAS         sas.State
 	Metrics     []mdl.PrimState
-	MonCursor   int
-	ToolCursor  int
+	SASCursor   int
 	ProbeCursor int
 }
 
@@ -90,8 +90,7 @@ type recovery struct {
 
 	// Per-node journals of records since the start of the run. Never
 	// truncated; checkpoints carry cursors into them.
-	monJournal   map[int][]sas.Record
-	toolJournal  map[int][]sas.Record
+	sasJournal   map[int][]sas.Record
 	probeJournal map[int][]instFire
 }
 
@@ -102,8 +101,7 @@ func newRecovery(s *Session, cfg RecoveryConfig) *recovery {
 		s:               s,
 		store:           checkpoint.NewStore(),
 		checkpointEvery: cfg.CheckpointEvery,
-		monJournal:      make(map[int][]sas.Record),
-		toolJournal:     make(map[int][]sas.Record),
+		sasJournal:      make(map[int][]sas.Record),
 		probeJournal:    make(map[int][]instFire),
 	}
 	if rc.checkpointEvery == 0 {
@@ -148,7 +146,7 @@ func newRecovery(s *Session, cfg RecoveryConfig) *recovery {
 	return rc
 }
 
-// arm installs the journaling hooks on every per-node SAS and enabled
+// arm installs the journaling hooks on every node's SAS and enabled
 // metric instance. Run calls it once, after the experiment has set up
 // its monitors and metrics.
 func (rc *recovery) arm() {
@@ -160,13 +158,8 @@ func (rc *recovery) arm() {
 	for n := 0; n < s.Machine.Nodes(); n++ {
 		node := n
 		s.Tool.SASes.Node(node).SetRecorder(func(r sas.Record) {
-			rc.toolJournal[node] = append(rc.toolJournal[node], r)
+			rc.sasJournal[node] = append(rc.sasJournal[node], r)
 		})
-		if s.monitor != nil {
-			s.monitor.Reg.Node(node).SetRecorder(func(r sas.Record) {
-				rc.monJournal[node] = append(rc.monJournal[node], r)
-			})
-		}
 	}
 	for i, em := range s.Tool.Enabled() {
 		idx := i
@@ -176,14 +169,11 @@ func (rc *recovery) arm() {
 	}
 }
 
-// wipeNode is the crash: the node's SAS partitions and metric
-// primitives are cleared in place. The journals and checkpoints —
-// daemon-side state — survive.
+// wipeNode is the crash: the node's SAS and metric primitives are
+// cleared in place. The journals and checkpoints — daemon-side state —
+// survive.
 func (s *Session) wipeNode(node int) {
 	s.Tool.SASes.ResetNode(node)
-	if s.monitor != nil {
-		s.monitor.Reg.ResetNode(node)
-	}
 	for _, em := range s.Tool.Enabled() {
 		em.Instance.ResetNode(node)
 	}
@@ -199,16 +189,10 @@ func (rc *recovery) CheckpointNode(node int, at vtime.Time) {
 		defer tr.End(ref, at)
 	}
 	ck := nodeCheckpoint{
+		SAS:         s.Tool.SASes.Node(node).ExportState(),
 		Metrics:     make([]mdl.PrimState, 0, len(s.Tool.Enabled())),
-		MonCursor:   len(rc.monJournal[node]),
-		ToolCursor:  len(rc.toolJournal[node]),
+		SASCursor:   len(rc.sasJournal[node]),
 		ProbeCursor: len(rc.probeJournal[node]),
-	}
-	tst := s.Tool.SASes.Node(node).ExportState()
-	ck.Tool = &tst
-	if s.monitor != nil {
-		mst := s.monitor.Reg.Node(node).ExportState()
-		ck.Monitor = &mst
 	}
 	for _, em := range s.Tool.Enabled() {
 		ck.Metrics = append(ck.Metrics, em.Instance.ExportNode(node))
@@ -240,13 +224,9 @@ func (rc *recovery) RestoreNode(node int, at vtime.Time) daemon.RestoreOutcome {
 			ck = nodeCheckpoint{}
 		}
 	}
+	nodeSAS := s.Tool.SASes.Node(node)
 	if out.FromCheckpoint {
-		if ck.Tool != nil {
-			s.Tool.SASes.Node(node).RestoreState(*ck.Tool)
-		}
-		if ck.Monitor != nil && s.monitor != nil {
-			s.monitor.Reg.Node(node).RestoreState(*ck.Monitor)
-		}
+		nodeSAS.RestoreState(ck.SAS)
 		for i, em := range s.Tool.Enabled() {
 			if i < len(ck.Metrics) {
 				em.Instance.RestoreNode(node, ck.Metrics[i])
@@ -254,17 +234,9 @@ func (rc *recovery) RestoreNode(node int, at vtime.Time) daemon.RestoreOutcome {
 		}
 	}
 
-	toolSAS := s.Tool.SASes.Node(node)
-	for _, r := range rc.toolJournal[node][min(ck.ToolCursor, len(rc.toolJournal[node])):] {
-		toolSAS.Replay(r)
+	for _, r := range rc.sasJournal[node][min(ck.SASCursor, len(rc.sasJournal[node])):] {
+		nodeSAS.Replay(r)
 		out.SASReplayed++
-	}
-	if s.monitor != nil {
-		monSAS := s.monitor.Reg.Node(node)
-		for _, r := range rc.monJournal[node][min(ck.MonCursor, len(rc.monJournal[node])):] {
-			monSAS.Replay(r)
-			out.SASReplayed++
-		}
 	}
 	enabled := s.Tool.Enabled()
 	for _, f := range rc.probeJournal[node][min(ck.ProbeCursor, len(rc.probeJournal[node])):] {
@@ -314,11 +286,4 @@ func (s *Session) finalizeCrashes(end vtime.Time) {
 			s.recovery.sv.MarkLost(w.Node, w.Down)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
