@@ -1,9 +1,12 @@
-.PHONY: build test race bench pprof-events pprof-data pprof-diagnose soak soak-smoke serve-smoke diagnose-smoke
+.PHONY: build test race bench pprof-events pprof-data pprof-diagnose diagnose-smoke
 
 build:
 	go build ./...
 
 # benchmark/ is a nested module: the root ./... pattern skips it.
+# ./... includes the chaos soak (TestSoak: 500 randomized composed-fault
+# sessions) and the daemon's mixed-load stream contract
+# (internal/serve TestMixedLoadStreamContract).
 test:
 	go test ./...
 	cd benchmark && go test ./...
@@ -50,28 +53,6 @@ pprof-diagnose:
 		-cpuprofile diagnose.cpu.pprof -memprofile diagnose.mem.pprof .
 	go tool pprof -top -nodecount 35 .bench_build/nvmap.test .bench_build/diagnose.cpu.pprof
 	go tool pprof -top -nodecount 20 -sample_index alloc_space .bench_build/nvmap.test .bench_build/diagnose.mem.pprof
-
-# Chaos soak: randomized composed-fault sessions under the race
-# detector, asserting the robustness contract (no process death, every
-# run ends in answer / partial / typed error, wall-clock-free runs
-# byte-deterministic). soak is the full acceptance run; soak-smoke is
-# the short CI variant.
-SOAK_N       ?= 500
-SOAK_SMOKE_N ?= 25
-
-soak:
-	go run -race ./cmd/nvsoak -sessions $(SOAK_N) -seed 1
-
-soak-smoke:
-	go run -race ./cmd/nvsoak -sessions $(SOAK_SMOKE_N) -seed 1
-
-# Service smoke: nvload self-hosts an nvprofd pool and proves the full
-# admit -> shed -> reject -> drain lifecycle under the race detector —
-# 50 mixed sessions, a deterministic overload burst that must shed and
-# fast-reject with Retry-After, then a drain probe that must observe an
-# exact virtual-time cut with the report flushed. Zero process deaths.
-serve-smoke:
-	go run -race ./cmd/nvload -smoke
 
 # Diagnosis smoke: the corpus goldens (planted root causes, budget
 # accounting), the per-probe replay reference and the cancelled shared

@@ -122,7 +122,7 @@ func main() {
 
 // diagOptions is the validated consultant configuration. Validation is
 // separated from flag parsing so the contradiction rules are unit
-// testable (nvsoak-style): a rejected combination is a typed
+// testable: a rejected combination is a typed
 // *nvmap.UsageError and exits 2, like any other usage mistake.
 type diagOptions struct {
 	budget    int

@@ -76,9 +76,6 @@ func (h *Histogram) End() vtime.Time { return h.start.Add(h.Span()) }
 // Total returns the sum of all accumulated values.
 func (h *Histogram) Total() float64 { return h.total }
 
-// Last returns the timestamp of the most recent sample.
-func (h *Histogram) Last() vtime.Time { return h.last }
-
 // Add accumulates value into the bin covering instant at, folding first if
 // at lies beyond current coverage. Samples before the histogram start are
 // rejected (time is monotone in the simulator, so this indicates a bug in

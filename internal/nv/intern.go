@@ -251,15 +251,6 @@ func (in *Interner) LookupPtr(s *Sentence) (*Sentence, bool) {
 	return in.canonical(h), true
 }
 
-// Lookup is LookupPtr by value; on a miss it returns s unchanged.
-func (in *Interner) Lookup(s Sentence) (Sentence, bool) {
-	p, ok := in.LookupPtr(&s)
-	if !ok {
-		return s, false
-	}
-	return *p, true
-}
-
 // HandleOf, VerbHandleOf and NounHandlesOf read a sentence's cached
 // interned identity through a pointer, avoiding the receiver copy the
 // value-method accessors would make on the hot path. The slice returned
@@ -281,14 +272,8 @@ func HasNoun(s *Sentence, h NounHandle) bool {
 	return false
 }
 
-// Interned interns s in the default table. See Interner.Sentence.
-func Interned(s Sentence) Sentence { return DefaultInterner.Sentence(s) }
-
 // InternedPtr is Interner.SentencePtr on the default table.
 func InternedPtr(s *Sentence) *Sentence { return DefaultInterner.SentencePtr(s) }
-
-// LookupInterned is Interner.Lookup on the default table.
-func LookupInterned(s Sentence) (Sentence, bool) { return DefaultInterner.Lookup(s) }
 
 // LookupInternedPtr is Interner.LookupPtr on the default table.
 func LookupInternedPtr(s *Sentence) (*Sentence, bool) { return DefaultInterner.LookupPtr(s) }

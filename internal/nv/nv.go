@@ -167,10 +167,6 @@ func (s Sentence) Handle() SentenceHandle { return s.handle }
 // VerbHandle returns the interned verb handle (0 if not interned).
 func (s Sentence) VerbHandle() VerbHandle { return s.vh }
 
-// NounHandles returns the interned noun handles, aligned with Nouns
-// (nil if not interned). The caller must not modify the slice.
-func (s Sentence) NounHandles() []NounHandle { return s.nhs }
-
 // Equal reports whether s and o denote the same sentence.
 func (s Sentence) Equal(o Sentence) bool {
 	if s.Verb != o.Verb || len(s.Nouns) != len(o.Nouns) {

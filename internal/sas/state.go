@@ -219,6 +219,3 @@ func (r *Registry) ResetNode(node int) *SAS {
 
 // FromNode returns the exporting node of the link.
 func (l *ReliableLink) FromNode() int { return l.from.node }
-
-// ToNode returns the receiving node of the link.
-func (l *ReliableLink) ToNode() int { return l.to.node }

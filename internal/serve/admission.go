@@ -8,7 +8,7 @@ package serve
 //   - at most QueueDepth requests wait for a slot; request
 //     MaxConcurrent+QueueDepth+1 is rejected immediately — the daemon
 //     never builds unbounded backlog, so rejection latency stays flat
-//     no matter how hard nvload pushes;
+//     no matter how hard clients push;
 //   - a queued request gives up after AdmitTimeout (or its own
 //     context), converting a would-be slow failure into a fast 429;
 //   - once draining, nothing is admitted and all queued waiters are

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,9 +24,9 @@ import (
 // exact virtual-time operation boundary, ending the stream with a
 // typed error event after the findings already gathered.
 
-// validateDiagnose normalises a diagnosis request in place and rejects
-// malformed ones.
-func (s *Server) validateDiagnose(req *DiagnoseRequest) error {
+// validate normalises a diagnosis request in place and rejects malformed
+// ones.
+func (req *DiagnoseRequest) validate(maxNodes int) error {
 	if req.Source == "" && req.Scenario == "" {
 		return errors.New("one of source or scenario is required")
 	}
@@ -37,8 +36,8 @@ func (s *Server) validateDiagnose(req *DiagnoseRequest) error {
 	if req.Nodes == 0 {
 		req.Nodes = 8
 	}
-	if req.Nodes < 1 || req.Nodes > s.cfg.MaxNodes {
-		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, s.cfg.MaxNodes)
+	if req.Nodes < 1 || req.Nodes > maxNodes {
+		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, maxNodes)
 	}
 	if req.Budget < 0 {
 		return fmt.Errorf("budget %d is negative (0 selects the default)", req.Budget)
@@ -70,13 +69,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiagnoseRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.badReq.Add(1)
-		s.reject(w, http.StatusBadRequest, "bad_request", "decode: "+err.Error(), 0)
-		return
-	}
-	if err := s.validateDiagnose(&req); err != nil {
+	if err := s.decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.badReq.Add(1)
 		s.reject(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return

@@ -21,22 +21,9 @@ func postDiagnose(t *testing.T, ts *httptest.Server, req DiagnoseRequest) (int, 
 		t.Fatalf("POST /v1/diagnose: %v", err)
 	}
 	defer resp.Body.Close()
-	var events []Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream: %v", err)
+	events, err := readEvents(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header, events
 }

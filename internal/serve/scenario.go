@@ -1,11 +1,11 @@
 package serve
 
-// Canned deterministic workloads. The server, the nvload generator and
-// the recovery-under-service tests all draw from the same generator, so
+// Canned deterministic workloads. The server, the load tests and the
+// recovery-under-service tests all draw from the same generator, so
 // "scenario crashy, seed 42, 8 nodes" names exactly one run everywhere:
 // same program text, same fault schedule, same recovery tuning. The
-// generator is a splitmix64 stream (stable across Go releases, like
-// cmd/nvsoak's) seeded only by the request, never by wall clock.
+// generator is a splitmix64 stream (stable across Go releases, like the
+// chaos soak's) seeded only by the request, never by wall clock.
 
 import (
 	"fmt"
@@ -130,7 +130,3 @@ func hashKind(kind string) uint64 {
 	}
 	return h
 }
-
-// ScenarioMetrics is the metric set load mixes enable; stable so
-// answer-latency comparisons across runs are apples to apples.
-var ScenarioMetrics = []string{"computations", "summations", "point_to_point_ops"}

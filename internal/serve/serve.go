@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -205,9 +206,6 @@ func (s *Server) Drain(grace time.Duration) {
 	<-done
 }
 
-// Draining reports whether the drain sequence has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // RunError wraps a session failure with its service context (tenant,
 // session id). It unwraps to the underlying *nvmap.SessionError chain,
 // so errors.Is still sees context.DeadlineExceeded, context.Canceled
@@ -265,8 +263,19 @@ func (s *Server) reject(w http.ResponseWriter, status int, kind, msg string, ret
 		Error: &ErrorInfo{Kind: kind, Message: msg, RetryAfterSec: retryAfter}})
 }
 
-// validate normalises a request in place and rejects malformed ones.
-func (s *Server) validate(req *SessionRequest) error {
+// decodeRequest reads one JSON request body and validates it in place.
+// Both POST handlers call it, so FuzzDecode drives exactly the path an
+// untrusted body takes.
+func (s *Server) decodeRequest(body io.Reader, req interface{ validate(maxNodes int) error }) error {
+	if err := json.NewDecoder(body).Decode(req); err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	return req.validate(s.cfg.MaxNodes)
+}
+
+// validate normalises a session request in place and rejects malformed
+// ones.
+func (req *SessionRequest) validate(maxNodes int) error {
 	if req.Source == "" && req.Scenario == "" {
 		return errors.New("one of source or scenario is required")
 	}
@@ -276,8 +285,8 @@ func (s *Server) validate(req *SessionRequest) error {
 	if req.Nodes == 0 {
 		req.Nodes = 8
 	}
-	if req.Nodes < 1 || req.Nodes > s.cfg.MaxNodes {
-		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, s.cfg.MaxNodes)
+	if req.Nodes < 1 || req.Nodes > maxNodes {
+		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, maxNodes)
 	}
 	if req.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms %d is negative", req.DeadlineMS)
@@ -307,13 +316,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.badReq.Add(1)
-		s.reject(w, http.StatusBadRequest, "bad_request", "decode: "+err.Error(), 0)
-		return
-	}
-	if err := s.validate(&req); err != nil {
+	if err := s.decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.badReq.Add(1)
 		s.reject(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,24 +34,68 @@ func postSessionBody(t *testing.T, ts *httptest.Server, body []byte) (int, http.
 		t.Fatalf("POST /v1/sessions: %v", err)
 	}
 	defer resp.Body.Close()
+	events, err := readEvents(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, events
+}
+
+// readEvents reads a response body as NDJSON, rejecting any line that
+// is not a well-formed Event: valid JSON with no unknown fields, a
+// known event name, and exactly the one payload that name calls for.
+func readEvents(body io.Reader) ([]Event, error) {
 	var events []Event
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
 		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		if err := dec.Decode(&ev); err != nil {
+			return nil, fmt.Errorf("bad event line %q: %w", line, err)
+		}
+		if err := wellFormed(ev); err != nil {
+			return nil, fmt.Errorf("event line %q: %w", line, err)
 		}
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("stream: %v", err)
+		return nil, fmt.Errorf("stream read: %w", err)
 	}
-	return resp.StatusCode, resp.Header, events
+	return events, nil
+}
+
+// wellFormed checks Event's invariant: exactly one payload pointer is
+// set, the one matching its name.
+func wellFormed(ev Event) error {
+	payloads := map[string]bool{
+		"admitted":  ev.Admitted != nil,
+		"answer":    ev.Answer != nil,
+		"question":  ev.Question != nil,
+		"report":    ev.Report != nil,
+		"finding":   ev.Finding != nil,
+		"diagnosis": ev.Diagnosis != nil,
+		"done":      ev.Done != nil,
+		"error":     ev.Error != nil,
+	}
+	set, known := payloads[ev.Event]
+	if !known {
+		return fmt.Errorf("unknown event %q", ev.Event)
+	}
+	if !set {
+		return errors.New("payload missing")
+	}
+	for name, ok := range payloads {
+		if ok && name != ev.Event {
+			return fmt.Errorf("stray %s payload", name)
+		}
+	}
+	return nil
 }
 
 func eventByKind(events []Event, kind string) *Event {

@@ -183,13 +183,10 @@ func (s *Session) EnableSASMonitor(filter bool) *Monitor {
 		_ = m.Model.AddLevel(nv.Level{
 			ID: nv.LevelIDHardware, Name: string(nv.LevelIDHardware), Rank: nv.RankHardware})
 		_ = m.Model.AddVerb(nv.Verb{ID: verbRoutes, Level: nv.LevelIDHardware})
-		// Register every link noun up front so snapshot formatting and
-		// questions can name them before traffic flows.
+		// Resolve every link sentence up front, so the route hook only
+		// reads linkSents.
 		for _, l := range topo.Links() {
-			noun := m.linkSentence(l).Nouns[0]
-			if _, ok := m.Model.Noun(noun); !ok {
-				_ = m.Model.AddNoun(nv.Noun{ID: noun, Level: nv.LevelIDHardware})
-			}
+			m.linkSentence(l)
 		}
 		s.Machine.OnRoute(func(from, to, bytes int, links []machine.Link, at vtime.Time) {
 			node := reg.Node(from)
@@ -208,8 +205,8 @@ func (s *Session) EnableSASMonitor(filter bool) *Monitor {
 }
 
 // linkSentence returns {link Routes} for an interconnect link, resolving
-// it (for both directions) on first sight; EnableSASMonitor sees every
-// link of the topology while registering the link nouns.
+// it (for both directions) on first sight; EnableSASMonitor resolves
+// every link of the topology before the run.
 func (m *Monitor) linkSentence(l machine.Link) nv.Sentence {
 	sn, ok := m.linkSents[l]
 	if !ok {
@@ -220,14 +217,13 @@ func (m *Monitor) linkSentence(l machine.Link) nv.Sentence {
 	return sn
 }
 
-// blockVocab is the cached sentence set and noun/verb vocabulary a
-// block's execution activates. Compiled programs (and so their block
-// pointers) are shared across sessions by the compile cache, and the
-// sentences depend only on the block, so the set is built once per block
-// and re-registered into each session's model.
+// blockVocab is the cached sentence set and verb vocabulary a block's
+// execution activates. Compiled programs (and so their block pointers)
+// are shared across sessions by the compile cache, and the sentences
+// depend only on the block, so the set is built once per block and its
+// verbs re-registered into each session's model.
 type blockVocab struct {
 	sents []nv.Sentence
-	nouns []nv.NounID
 	verbs []nv.VerbID
 	// Snippet names for the block's entry/exit instrumentation; built
 	// here so per-session wiring skips the string concatenation.
@@ -241,8 +237,9 @@ var blockVocabCache struct {
 }
 
 // blockSentences returns the block's cached vocabulary (sentences its
-// execution activates plus instrumentation labels), registering the
-// nouns and verbs in the monitor's model.
+// execution activates plus instrumentation labels), registering its
+// verbs in the monitor's model — the only part of the model snapshot
+// formatting reads.
 func (m *Monitor) blockSentences(b *cmf.Block) *blockVocab {
 	blockVocabCache.Lock()
 	v, ok := blockVocabCache.m[b]
@@ -254,11 +251,6 @@ func (m *Monitor) blockSentences(b *cmf.Block) *blockVocab {
 		blockVocabCache.m[b] = v
 	}
 	blockVocabCache.Unlock()
-	for _, noun := range v.nouns {
-		if _, ok := m.Model.Noun(noun); !ok {
-			_ = m.Model.AddNoun(nv.Noun{ID: noun, Level: "HPF"})
-		}
-	}
 	for _, verb := range v.verbs {
 		if _, ok := m.Model.Verb(verb); !ok {
 			_ = m.Model.AddVerb(nv.Verb{ID: verb, Level: "HPF"})
@@ -270,15 +262,12 @@ func (m *Monitor) blockSentences(b *cmf.Block) *blockVocab {
 func buildBlockVocab(b *cmf.Block) *blockVocab {
 	v := &blockVocab{}
 	for _, line := range b.Lines {
-		noun := nv.NounID("line" + strconv.Itoa(line))
-		v.sents = append(v.sents, nv.NewSentence(verbExecutes, noun))
-		v.nouns = append(v.nouns, noun)
+		v.sents = append(v.sents, nv.NewSentence(verbExecutes, nv.NounID("line"+strconv.Itoa(line))))
 	}
 	if b.Kind == cmf.KindReduce || b.Kind == cmf.KindTransform {
 		verb := verbForIntrinsic(b.Intrinsic)
 		for _, arr := range b.Arrays {
 			v.sents = append(v.sents, nv.NewSentence(verb, nv.NounID(arr)))
-			v.nouns = append(v.nouns, nv.NounID(arr))
 			v.verbs = append(v.verbs, verb)
 		}
 	}

@@ -125,7 +125,7 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 			obs.KindGauge, false, netStat(func(st machine.NetStats) float64 { return float64(st.MaxLinkMsgs) }))
 	}
 
-	registerSASCollectors(r, s.Tool.SASes, s.Machine.Nodes)
+	registerSASCollectors(r, s.Tool.SASes)
 
 	r.Func("nvmap_dyninst_inserted_total", "Instrumentation snippets inserted.",
 		obs.KindCounter, false, func() float64 { return float64(s.Inst.Stats().Inserted) })
@@ -182,8 +182,9 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 // registerSASCollectors publishes the session's SAS registry — one SAS
 // per node, holding the tool's gating sentences and the monitor's — as
 // aggregate notification statistics, question-index posting sizes and
-// column occupancy.
-func registerSASCollectors(r *obs.Registry, reg *sas.Registry, nodes func() int) {
+// column occupancy. Every collector sums over the SASes that exist, so a
+// scrape never materialises one.
+func registerSASCollectors(r *obs.Registry, reg *sas.Registry) {
 	stat := func(read func(sas.Stats) float64) func() float64 {
 		return func() float64 { return read(reg.TotalStats()) }
 	}
@@ -204,8 +205,8 @@ func registerSASCollectors(r *obs.Registry, reg *sas.Registry, nodes func() int)
 	idx := func(read func(sas.IndexStats) float64) func() float64 {
 		return func() float64 {
 			var sum float64
-			for n := 0; n < nodes(); n++ {
-				sum += read(reg.Node(n).Index())
+			for _, s := range reg.Nodes() {
+				sum += read(s.Index())
 			}
 			return sum
 		}
@@ -221,8 +222,8 @@ func registerSASCollectors(r *obs.Registry, reg *sas.Registry, nodes func() int)
 	col := func(read func(sas.ColumnStats) float64) func() float64 {
 		return func() float64 {
 			var sum float64
-			for n := 0; n < nodes(); n++ {
-				sum += read(reg.Node(n).Columns())
+			for _, s := range reg.Nodes() {
+				sum += read(s.Columns())
 			}
 			return sum
 		}

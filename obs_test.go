@@ -152,6 +152,25 @@ func TestObsDisabled(t *testing.T) {
 	}
 }
 
+// TestObsScrapeCreatesNoSAS pins that a metrics scrape is read-only: a
+// session with the plane but no monitor and no gating has no SAS, and
+// exporting every collector (unstable ones included) creates none.
+func TestObsScrapeCreatesNoSAS(t *testing.T) {
+	s, err := NewSession(obsWorkload, WithNodes(8), WithOutput(io.Discard), WithObservability())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Tool.SASes.Nodes()); n != 0 {
+		t.Fatalf("%d SASes before the scrape, want 0", n)
+	}
+	if err := obs.WritePrometheus(io.Discard, s.Observability().Metrics, true); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Tool.SASes.Nodes()); n != 0 {
+		t.Fatalf("the scrape materialised %d SASes", n)
+	}
+}
+
 // TestMonitorStatsRegistryEquality pins the collector contract for the
 // session's one SAS registry: the unlabelled nvmap_sas_* collectors read
 // the same counters as the registry's TotalStats, which sum the monitor's

@@ -112,12 +112,6 @@ func WithObservability() Option {
 	return func(c *Config) { c.Observability = &ObservabilityConfig{} }
 }
 
-// WithObservabilityConfig enables the self-observability plane with
-// explicit tuning.
-func WithObservabilityConfig(oc ObservabilityConfig) Option {
-	return func(c *Config) { c.Observability = &oc }
-}
-
 // WithBudget enforces resource ceilings on the run — virtual time,
 // operation count, daemon-channel backlog, SAS active-set size and
 // allocation estimate. Sheddable ceilings (the channel backlog) degrade
