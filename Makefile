@@ -57,8 +57,9 @@ pprof-diagnose:
 # Diagnosis smoke: the corpus goldens (planted root causes, budget
 # accounting), the per-probe replay reference and the cancelled shared
 # replay, plus the concurrent-search, budget, failed-replay and
-# /v1/diagnose stream/drain tests under the race detector.
+# /v1/diagnose stream/drain/quota tests and the request pipeline's
+# contract over both POST routes under the race detector.
 diagnose-smoke:
 	go test -run 'TestDiagnosisCorpus|TestDiagnosisReplayReference|TestDiagnoseContextCancelledInSharedReplay' .
 	go test -race -run 'TestConsultantConcurrentSearches|TestConsultantBudgetRespected|TestConsultantFailedReplayCachesNothing' ./internal/paradyn
-	go test -race -run 'TestDiagnose' ./internal/serve
+	go test -race -run 'TestDiagnose|TestPipeline' ./internal/serve

@@ -38,31 +38,6 @@ type DiagnoseConfig struct {
 	OnFinding func(diagnose.Finding)
 }
 
-// ConsultantFactory adapts a program source plus session options into
-// the consultant's replay factory: every call builds a fresh,
-// deterministic session over the same program. Pass the same options a
-// direct NewSession would take; PRINT output is not redirected here, so
-// diagnostic replays of chatty programs should omit WithOutput.
-func ConsultantFactory(source string, opts ...Option) paradyn.AppFactory {
-	return ConsultantFactoryContext(context.Background(), source, opts...)
-}
-
-// ConsultantFactoryContext is ConsultantFactory with a context wired
-// into every replay: when the context expires or is cancelled, the
-// in-flight run (base or replay) is cut at an exact virtual-time
-// operation boundary and the search aborts with the run's typed error.
-// This is what lets a serving daemon drain a diagnosis mid-search.
-func ConsultantFactoryContext(ctx context.Context, source string, opts ...Option) paradyn.AppFactory {
-	return func() (*paradyn.Tool, func() error, error) {
-		s, err := NewSession(source, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		run := func() error { _, err := s.RunContext(ctx); return err }
-		return s.Tool, run, nil
-	}
-}
-
 // Diagnose runs the Performance Consultant over a program and returns
 // the full diagnosis report: the findings tree plus the search's own
 // cost accounting (probes run and pruned against the budget, virtual
@@ -82,7 +57,15 @@ func DiagnoseContext(ctx context.Context, source string, cfg DiagnoseConfig, opt
 	c.RefineStatements = !cfg.DisableStatements
 	c.RefineArrays = !cfg.DisableArrays
 	c.OnFinding = cfg.OnFinding
-	return c.Diagnose(ConsultantFactoryContext(ctx, source, opts...))
+	// Every factory call builds a fresh, deterministic session over the
+	// same program; ctx reaches every run, base and replay alike.
+	return c.Diagnose(func() (*paradyn.Tool, func() error, error) {
+		s, err := NewSession(source, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s.Tool, func() error { _, err := s.RunContext(ctx); return err }, nil
+	})
 }
 
 // RegisterDiagnosisCollectors publishes a diagnosis's search-cost

@@ -16,16 +16,7 @@ import (
 func postDiagnose(t *testing.T, ts *httptest.Server, req DiagnoseRequest) (int, http.Header, []Event) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := ts.Client().Post(ts.URL+"/v1/diagnose", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/diagnose: %v", err)
-	}
-	defer resp.Body.Close()
-	events, err := readEvents(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header, events
+	return postBody(t, ts, "/v1/diagnose", body)
 }
 
 // diagSource is compute-heavy enough that the consultant confirms

@@ -80,8 +80,9 @@ type QuestionSpec struct {
 // stream every probe's finding back as it is evaluated. Source and
 // Scenario compose exactly as in SessionRequest; admission, quotas and
 // drain apply the same way — a diagnosis holds one run slot for its
-// whole search (base run plus replays), and its tenant is charged the
-// search's total virtual time.
+// whole search (base run plus replays), runs each of the search's
+// sessions under the tenant allowance left after the ones before it,
+// and charges the tenant every session's virtual time.
 type DiagnoseRequest struct {
 	Tenant   string `json:"tenant,omitempty"`
 	Source   string `json:"source,omitempty"`

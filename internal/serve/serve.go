@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,8 +123,8 @@ func NewServer(cfg Config) *Server {
 	}
 	s.registerMetrics()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/sessions", s.handleSessions)
-	mux.HandleFunc("/v1/diagnose", s.handleDiagnose)
+	mux.HandleFunc("/v1/sessions", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, new(SessionRequest)) })
+	mux.HandleFunc("/v1/diagnose", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, new(DiagnoseRequest)) })
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.Handle("/", obs.Handler(s.plane))
@@ -264,47 +265,142 @@ func (s *Server) reject(w http.ResponseWriter, status int, kind, msg string, ret
 }
 
 // decodeRequest reads one JSON request body and validates it in place.
-// Both POST handlers call it, so FuzzDecode drives exactly the path an
+// Both POST routes call it, so FuzzDecode drives exactly the path an
 // untrusted body takes.
-func (s *Server) decodeRequest(body io.Reader, req interface{ validate(maxNodes int) error }) error {
+func (s *Server) decodeRequest(body io.Reader, req request) error {
 	if err := json.NewDecoder(body).Decode(req); err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
 	return req.validate(s.cfg.MaxNodes)
 }
 
-// validate normalises a session request in place and rejects malformed
-// ones.
-func (req *SessionRequest) validate(maxNodes int) error {
-	if req.Source == "" && req.Scenario == "" {
-		return errors.New("one of source or scenario is required")
-	}
-	if req.Scenario != "" && !ValidScenario(req.Scenario) {
-		return fmt.Errorf("unknown scenario %q (valid: %v)", req.Scenario, ScenarioKinds)
-	}
-	if req.Nodes == 0 {
-		req.Nodes = 8
-	}
-	if req.Nodes < 1 || req.Nodes > maxNodes {
-		return fmt.Errorf("nodes %d out of range [1, %d]", req.Nodes, maxNodes)
-	}
-	if req.DeadlineMS < 0 {
-		return fmt.Errorf("deadline_ms %d is negative", req.DeadlineMS)
-	}
-	if req.MaxVirtualTimeNS < 0 {
-		return fmt.Errorf("max_virtual_time_ns %d is negative", req.MaxVirtualTimeNS)
-	}
-	for i, q := range req.Questions {
-		if q.Text == "" {
-			return fmt.Errorf("question %d has empty text", i)
-		}
-	}
-	return nil
+// program is the half of a request both kinds share: which program
+// runs, on which partition and fault composition, for how long, and
+// whose quota pays for it.
+type program struct {
+	tenant, source, scenario string
+	seed                     int64
+	nodes                    int
+	fuse                     bool
+	deadlineMS               int64
+	maxVirtualTimeNS         int64 // the request's own cap; sessions only
 }
 
-// handleSessions is the tenant entry point: admission, quota
-// reservation, the run itself, and the NDJSON event stream back.
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
+// validate rejects malformed program fields and returns the partition
+// size, defaulted to 8 nodes.
+func (p program) validate(maxNodes int) (int, error) {
+	if p.source == "" && p.scenario == "" {
+		return 0, errors.New("one of source or scenario is required")
+	}
+	if p.scenario != "" && !ValidScenario(p.scenario) {
+		return 0, fmt.Errorf("unknown scenario %q (valid: %v)", p.scenario, ScenarioKinds)
+	}
+	nodes := cmp.Or(p.nodes, 8)
+	if nodes < 1 || nodes > maxNodes {
+		return 0, fmt.Errorf("nodes %d out of range [1, %d]", nodes, maxNodes)
+	}
+	if p.deadlineMS < 0 {
+		return 0, fmt.Errorf("deadline_ms %d is negative", p.deadlineMS)
+	}
+	if p.maxVirtualTimeNS < 0 {
+		return 0, fmt.Errorf("max_virtual_time_ns %d is negative", p.maxVirtualTimeNS)
+	}
+	return nodes, nil
+}
+
+// job is an admitted program ready to run: its source, the session
+// options it names, the tenant's allowance intersected with the
+// request's cap, and the fidelity admission granted.
+type job struct {
+	source string
+	opts   []nvmap.Option
+	budget nvmap.Budget
+	level  int
+}
+
+// newJob resolves a program into session options. Scenario runs share
+// a source name per (scenario, seed) so the process-wide compile memo
+// hits across tenants replaying the same workload.
+func newJob(p program, allowance nvmap.Budget, level int) job {
+	j := job{source: p.source, budget: allowance, level: level}
+	name := "tenant.fcm"
+	if p.source == "" {
+		j.source = ScenarioProgram(p.scenario, p.seed)
+		name = fmt.Sprintf("%s-%d.fcm", p.scenario, p.seed)
+	}
+	// Room for every option a program names plus the budget slot that
+	// session fills.
+	j.opts = append(make([]nvmap.Option, 0, 5), nvmap.WithNodes(p.nodes), nvmap.WithSourceFile(name))
+	if p.fuse {
+		j.opts = append(j.opts, nvmap.WithFuse())
+	}
+	if p.scenario != "" {
+		if plan, rc := ScenarioPlan(p.scenario, p.seed, p.nodes); plan != nil {
+			j.opts = append(j.opts, nvmap.WithFaults(plan))
+			if rc != nil {
+				j.opts = append(j.opts, nvmap.WithRecovery(*rc))
+			}
+		}
+	}
+	if cap := vtime.Duration(p.maxVirtualTimeNS); cap > 0 &&
+		(j.budget.MaxVirtualTime == 0 || cap < j.budget.MaxVirtualTime) {
+		j.budget.MaxVirtualTime = cap
+	}
+	return j
+}
+
+// session builds one run of the job under the allowance left after
+// spent virtual time. Every run executes under a budget: even a fully
+// unlimited one still meters ops and alloc bytes, which is what the
+// charge reads, and zero ceilings never shed and never cut, so an
+// unloaded serve run is byte-identical to a direct Session.Run. An
+// allowance already used up cuts the run at its first operation (a
+// 1 ns ceiling) instead of lifting the cap. Fidelity is priced at
+// admission: the run is pre-shed to the granted level, and the budget
+// governor can only raise it further. The budget goes in the options'
+// spare slot, which is safe because a job builds its sessions one at a
+// time and NewSession reads its options before it returns.
+func (j job) session(spent vtime.Duration) (*nvmap.Session, error) {
+	b := j.budget
+	if b.MaxVirtualTime > 0 {
+		b.MaxVirtualTime = max(b.MaxVirtualTime-spent, 1)
+	}
+	sess, err := nvmap.NewSession(j.source, append(j.opts, nvmap.WithBudget(b))...)
+	if err != nil {
+		return nil, err
+	}
+	if j.level > 0 {
+		sess.Tool.Shed(j.level)
+	}
+	return sess, nil
+}
+
+// request is one POST route's body. Both kinds name a program; start
+// is the route's own middle of the pipeline. It readies the route on
+// the job's first session — an error is the client's, answered with a
+// 400 before the stream opens — and returns the run.
+type request interface {
+	validate(maxNodes int) error
+	program() program
+	start(j job, first *nvmap.Session) (run func(ctx context.Context, w http.ResponseWriter) outcome, err error)
+}
+
+// outcome is what a route's run hands back to the pipeline.
+type outcome struct {
+	charge vtime.Duration // virtual time the request consumed
+	alloc  int64          // allocation bytes the request consumed
+	err    error
+	// after, when set, streams the route's events that follow the
+	// ledger's settle and precede the final event.
+	after func(w http.ResponseWriter)
+}
+
+// handle is the one request pipeline both POST routes run: admit
+// (method, drain, decode, quota, run slot), build (the program's first
+// session and the route's setup), stream (the route's run under the
+// request's deadline), settle (the tenant ledger, exactly once), and
+// the final done or error event.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, req request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -315,24 +411,34 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusServiceUnavailable, "draining", "daemon is draining", 5)
 		return
 	}
-	var req SessionRequest
-	if err := s.decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
+	if err := s.decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), req); err != nil {
 		s.badReq.Add(1)
 		s.reject(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
+	p := req.program()
 
-	// Quota first (cheap ledger check, fast reject), then the slot.
-	runBudget, err := s.tenants.reserve(req.Tenant)
+	// Quota first (cheap ledger check, fast reject), then the slot. A
+	// reservation is settled exactly once: with what the run consumed
+	// as soon as it ends, or with nothing on an exit before that (a
+	// rejection, a 400, a panic).
+	allowance, err := s.tenants.reserve(p.tenant)
 	if err != nil {
 		s.rejQuota.Add(1)
 		s.reject(w, http.StatusTooManyRequests, "rejected_quota", err.Error(), s.adm.retryAfter(s.cfg.AvgRun))
 		return
 	}
+	settled := false
+	settle := func(elapsed vtime.Duration, allocBytes int64) {
+		if !settled {
+			settled = true
+			s.tenants.settle(p.tenant, elapsed, allocBytes)
+		}
+	}
+	defer settle(0, 0)
 	queuedAt := time.Now()
 	level, release, err := s.adm.admit(r.Context())
 	if err != nil {
-		s.tenants.settle(req.Tenant, 0, 0)
 		switch {
 		case errors.Is(err, ErrDraining):
 			s.rejDraining.Add(1)
@@ -359,7 +465,6 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 			// the best we can do is a final error event.
 			s.panicked.Add(1)
 			s.failed.Add(1)
-			s.tenants.settle(req.Tenant, 0, 0)
 			writeNDJSON(w, Event{Event: "error",
 				Error: &ErrorInfo{Kind: "panicked", Message: fmt.Sprint(v)}})
 		}
@@ -368,96 +473,23 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if level > 0 {
 		s.shedRuns.Add(1)
 	}
-
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.mu.Unlock()
 
-	s.runSession(w, r, id, &req, runBudget, level, queueWait)
-}
-
-// runSession owns an admitted request from session construction to the
-// final event. It always settles the tenant ledger exactly once.
-func (s *Server) runSession(w http.ResponseWriter, r *http.Request, id uint64,
-	req *SessionRequest, runBudget nvmap.Budget, level int, queueWait time.Duration) {
-
-	source := req.Source
-	if source == "" {
-		source = ScenarioProgram(req.Scenario, req.Seed)
-	}
-	opts := []nvmap.Option{
-		nvmap.WithNodes(req.Nodes),
-		nvmap.WithSourceFile(serveSourceName(req)),
-	}
-	if req.Fuse {
-		opts = append(opts, nvmap.WithFuse())
-	}
-	if req.Scenario != "" {
-		if plan, rc := ScenarioPlan(req.Scenario, req.Seed, req.Nodes); plan != nil {
-			opts = append(opts, nvmap.WithFaults(plan))
-			if rc != nil {
-				opts = append(opts, nvmap.WithRecovery(*rc))
-			}
-		}
-	}
-	// The run always executes under a budget: the tenant's remaining
-	// allowance intersected with the request's own cap. Even a fully
-	// unlimited budget still meters ops and alloc bytes, which is what
-	// the settle charge reads. Zero ceilings never shed and never cut,
-	// so an unloaded serve run is byte-identical to a direct Session.Run.
-	if cap := vtime.Duration(req.MaxVirtualTimeNS); cap > 0 &&
-		(runBudget.MaxVirtualTime == 0 || cap < runBudget.MaxVirtualTime) {
-		runBudget.MaxVirtualTime = cap
-	}
-	opts = append(opts, nvmap.WithBudget(runBudget))
-
-	sess, err := nvmap.NewSession(source, opts...)
+	j := newJob(p, allowance, level)
+	sess, err := j.session(0)
 	if err != nil {
 		s.badReq.Add(1)
-		s.tenants.settle(req.Tenant, 0, 0)
 		s.reject(w, http.StatusBadRequest, "bad_request", "compile: "+err.Error(), 0)
 		return
 	}
-	// Fidelity priced at admission: pre-shed the tool to the granted
-	// level. The budget governor can only raise it further.
-	if level > 0 {
-		sess.Tool.Shed(level)
-	}
-
-	type askedQ struct {
-		spec  QuestionSpec
-		asked *nvmap.AskedQuestion
-	}
-	var asked []askedQ
-	if len(req.Questions) > 0 {
-		mon := sess.EnableSASMonitor(true)
-		for _, spec := range req.Questions {
-			label := spec.Label
-			if label == "" {
-				label = spec.Text
-			}
-			aq, err := mon.Ask(label, spec.Text)
-			if err != nil {
-				s.badReq.Add(1)
-				s.tenants.settle(req.Tenant, 0, 0)
-				s.reject(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("question %q: %v", spec.Text, err), 0)
-				return
-			}
-			asked = append(asked, askedQ{spec: QuestionSpec{Label: label, Text: spec.Text}, asked: aq})
-		}
-	}
-	var metrics []*paradyn.EnabledMetric
-	for _, mid := range req.Metrics {
-		em, err := sess.Tool.EnableMetric(mid, paradyn.WholeProgram())
-		if err != nil {
-			s.badReq.Add(1)
-			s.tenants.settle(req.Tenant, 0, 0)
-			s.reject(w, http.StatusBadRequest, "bad_request", "metric: "+err.Error(), 0)
-			return
-		}
-		metrics = append(metrics, em)
+	run, err := req.start(j, sess)
+	if err != nil {
+		s.badReq.Add(1)
+		s.reject(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		return
 	}
 
 	// From here the stream is open: every outcome is an event, the
@@ -468,8 +500,8 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, id uint64,
 		Admitted: &AdmittedInfo{ShedLevel: level, QueueNS: queueWait.Nanoseconds()}})
 
 	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	if p.deadlineMS > 0 {
+		deadline = time.Duration(p.deadlineMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
@@ -483,71 +515,122 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, id uint64,
 	}()
 
 	started := time.Now()
-	rep, runErr := sess.RunContext(ctx)
+	out := run(ctx, w)
 	wall := time.Since(started)
-	now := sess.Now()
-	if rep != nil {
-		s.tenants.settle(req.Tenant, sess.Elapsed(), rep.Budget.AllocBytes)
-	} else {
-		s.tenants.settle(req.Tenant, sess.Elapsed(), 0)
+	settle(out.charge, out.alloc)
+	if out.after != nil {
+		out.after(w)
 	}
-
-	// Answers flow even for cut runs: metric values and SAS results are
-	// exact up to the cut instant — that is the whole point of cutting
-	// at an operation boundary instead of killing the goroutine.
-	for _, em := range metrics {
-		writeNDJSON(w, Event{Event: "answer", Answer: &AnswerInfo{
-			Metric:   em.Metric.ID,
-			Value:    em.Value(now),
-			Units:    em.Metric.Units,
-			Degraded: em.Degraded(),
-			Partial:  em.Partial(),
-		}})
-	}
-	for _, q := range asked {
-		res, err := q.asked.Answer(now)
-		if err != nil {
-			writeNDJSON(w, Event{Event: "error",
-				Error: &ErrorInfo{Kind: "internal", Message: fmt.Sprintf("answer %q: %v", q.spec.Label, err)}})
-			continue
-		}
-		writeNDJSON(w, Event{Event: "question", Question: &QuestionInfo{
-			Label:           q.spec.Label,
-			Count:           res.Count,
-			EventTimeNS:     nsOf(res.EventTime),
-			SatisfiedTimeNS: nsOf(res.SatisfiedTime),
-			Satisfied:       res.Satisfied,
-		}})
-	}
-	if rep != nil {
-		writeNDJSON(w, Event{Event: "report", Report: reportInfo(rep)})
-	}
-
-	if runErr != nil {
+	if out.err != nil {
 		s.failed.Add(1)
-		if rep != nil && rep.Cut != nil {
+		// A typed session error is a run cut at a virtual-time boundary
+		// (deadline, drain, budget, stall, contained panic).
+		kind := "internal"
+		var serr *nvmap.SessionError
+		if errors.As(out.err, &serr) {
 			s.cutRuns.Add(1)
+			kind = serr.Kind.String()
 		}
-		werr := &RunError{Tenant: req.Tenant, ID: id, Err: runErr}
-		writeNDJSON(w, Event{Event: "error",
-			Error: &ErrorInfo{Kind: errKind(runErr), Message: werr.Error()}})
+		werr := &RunError{Tenant: p.tenant, ID: id, Err: out.err}
+		writeNDJSON(w, Event{Event: "error", Error: &ErrorInfo{Kind: kind, Message: werr.Error()}})
 		return
 	}
 	s.completed.Add(1)
 	writeNDJSON(w, Event{Event: "done", Done: &DoneInfo{
-		ElapsedVirtualNS: nsOf(sess.Elapsed()),
+		ElapsedVirtualNS: nsOf(out.charge),
 		WallNS:           wall.Nanoseconds(),
 	}})
 }
 
-// serveSourceName labels the compile unit; scenario runs share a name
-// per (scenario, seed) so the process-wide compile memo can hit across
-// tenants replaying the same workload.
-func serveSourceName(req *SessionRequest) string {
-	if req.Source != "" {
-		return "tenant.fcm"
+func (req *SessionRequest) program() program {
+	return program{req.Tenant, req.Source, req.Scenario, req.Seed, req.Nodes, req.Fuse, req.DeadlineMS, req.MaxVirtualTimeNS}
+}
+
+// validate normalises a session request in place and rejects malformed
+// ones.
+func (req *SessionRequest) validate(maxNodes int) error {
+	nodes, err := req.program().validate(maxNodes)
+	if err != nil {
+		return err
 	}
-	return fmt.Sprintf("%s-%d.fcm", req.Scenario, req.Seed)
+	req.Nodes = nodes
+	for i, q := range req.Questions {
+		if q.Text == "" {
+			return fmt.Errorf("question %d has empty text", i)
+		}
+	}
+	return nil
+}
+
+// start is the session route's middle: register the SAS questions and
+// enable the metrics, then run once and answer them.
+func (req *SessionRequest) start(_ job, sess *nvmap.Session) (func(context.Context, http.ResponseWriter) outcome, error) {
+	type askedQ struct {
+		label string
+		asked *nvmap.AskedQuestion
+	}
+	asked := make([]askedQ, 0, len(req.Questions))
+	if len(req.Questions) > 0 {
+		mon := sess.EnableSASMonitor(true)
+		for _, spec := range req.Questions {
+			label := cmp.Or(spec.Label, spec.Text)
+			aq, err := mon.Ask(label, spec.Text)
+			if err != nil {
+				return nil, fmt.Errorf("question %q: %v", spec.Text, err)
+			}
+			asked = append(asked, askedQ{label, aq})
+		}
+	}
+	metrics := make([]*paradyn.EnabledMetric, 0, len(req.Metrics))
+	for _, mid := range req.Metrics {
+		em, err := sess.Tool.EnableMetric(mid, paradyn.WholeProgram())
+		if err != nil {
+			return nil, fmt.Errorf("metric: %v", err)
+		}
+		metrics = append(metrics, em)
+	}
+	return func(ctx context.Context, _ http.ResponseWriter) outcome {
+		rep, err := sess.RunContext(ctx)
+		out := outcome{charge: sess.Elapsed(), err: err}
+		if rep != nil {
+			out.alloc = rep.Budget.AllocBytes
+		}
+		// Answers flow even for cut runs: metric values and SAS results
+		// are exact up to the cut instant — that is the whole point of
+		// cutting at an operation boundary instead of killing the
+		// goroutine.
+		out.after = func(w http.ResponseWriter) {
+			now := sess.Now()
+			for _, em := range metrics {
+				writeNDJSON(w, Event{Event: "answer", Answer: &AnswerInfo{
+					Metric:   em.Metric.ID,
+					Value:    em.Value(now),
+					Units:    em.Metric.Units,
+					Degraded: em.Degraded(),
+					Partial:  em.Partial(),
+				}})
+			}
+			for _, q := range asked {
+				res, err := q.asked.Answer(now)
+				if err != nil {
+					writeNDJSON(w, Event{Event: "error",
+						Error: &ErrorInfo{Kind: "internal", Message: fmt.Sprintf("answer %q: %v", q.label, err)}})
+					continue
+				}
+				writeNDJSON(w, Event{Event: "question", Question: &QuestionInfo{
+					Label:           q.label,
+					Count:           res.Count,
+					EventTimeNS:     nsOf(res.EventTime),
+					SatisfiedTimeNS: nsOf(res.SatisfiedTime),
+					Satisfied:       res.Satisfied,
+				}})
+			}
+			if rep != nil {
+				writeNDJSON(w, Event{Event: "report", Report: reportInfo(rep)})
+			}
+		}
+		return out
+	}, nil
 }
 
 // reportInfo converts the session report to wire form.
@@ -569,15 +652,6 @@ func reportInfo(rep *nvmap.DegradationReport) *ReportInfo {
 		}
 	}
 	return ri
-}
-
-// errKind maps a run error to its wire kind.
-func errKind(err error) string {
-	var serr *nvmap.SessionError
-	if errors.As(err, &serr) {
-		return serr.Kind.String()
-	}
-	return "internal"
 }
 
 // writeNDJSON emits one event line and flushes it to the client, so

@@ -29,9 +29,15 @@ func postSession(t *testing.T, ts *httptest.Server, req SessionRequest) (int, ht
 
 func postSessionBody(t *testing.T, ts *httptest.Server, body []byte) (int, http.Header, []Event) {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	return postBody(t, ts, "/v1/sessions", body)
+}
+
+// postBody posts a raw body to one route and parses the NDJSON stream.
+func postBody(t *testing.T, ts *httptest.Server, path string, body []byte) (int, http.Header, []Event) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/sessions: %v", err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	events, err := readEvents(resp.Body)

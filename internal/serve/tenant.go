@@ -15,9 +15,16 @@ package serve
 // tenant's *remaining* allowance (intersected with any per-request
 // cap), so a run that would blow the quota is cut by the budget
 // governor at an exact virtual-time boundary — the tenant gets a
-// partial report and a typed over-budget error, the ledger never goes
-// negative, and no other tenant is affected. What the run actually
-// consumed (it may be less than reserved) is charged on completion.
+// partial report and a typed over-budget error, and no other tenant is
+// affected. Both request kinds go through the server's one request
+// pipeline, which settles every reservation exactly once: with what
+// the request consumed as soon as its run ends (it may be less than
+// reserved), or with nothing when it ends before running (a rejection,
+// a bad request, a contained panic). A session request runs once; a
+// diagnosis runs a search of sessions (the base run, then replays),
+// each under the allowance left after the ones before it, and is
+// charged the virtual time of every session the search ran, a cut one
+// included.
 
 import (
 	"fmt"
