@@ -5,6 +5,7 @@ package nvmap
 // time); the experiments themselves report virtual time.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -221,7 +222,7 @@ func BenchmarkSASShared(b *testing.B) {
 }
 
 func BenchmarkSASPerNode(b *testing.B) {
-	reg := sas.NewRegistry(sas.Options{})
+	reg := sas.NewRegistry(runtime.GOMAXPROCS(0), sas.Options{})
 	var mu sync.Mutex
 	next := 0
 	b.ReportAllocs()

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	reg := sas.NewRegistry(sas.Options{})
+	reg := sas.NewRegistry(2, sas.Options{})
 	client := reg.Node(0)
 	server := reg.Node(1)
 

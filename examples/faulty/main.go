@@ -110,7 +110,7 @@ func main() {
 // export runs over a lossy transport behind a ReliableLink whose
 // retransmit timer (Flush) fires after every client state change.
 func playClientServer(inj *fault.Injector, out **sas.ReliableLink) float64 {
-	reg := sas.NewRegistry(sas.Options{})
+	reg := sas.NewRegistry(2, sas.Options{})
 	client, server := reg.Node(0), reg.Node(1)
 	qid, err := server.AddQuestion(sas.Q("reads for query7",
 		sas.T("QueryActive", "query7"), sas.T("DiskRead", sas.Any)))

@@ -43,7 +43,7 @@ func main() {
 	// Monitoring code, by hand: per-node SASes fed by instrumentation
 	// snippets. (nvmap's experiment drivers wrap exactly this wiring; the
 	// example spells it out.)
-	sases := sas.NewRegistry(sas.Options{})
+	sases := sas.NewRegistry(s.Machine.Nodes(), sas.Options{})
 	model := nv.NewRegistry()
 	if err := model.AddLevel(nv.Level{ID: "HPF", Rank: 2}); err != nil {
 		log.Fatal(err)
@@ -115,16 +115,13 @@ func main() {
 		sas.Q("{A Sums}, {Processor_1 Sends}", sas.T("Sums", "A"), sas.T("Sends", "Processor_1")),
 		sas.Q("{? Sums}, {Processor_1 Sends}", sas.T("Sums", sas.Any), sas.T("Sends", "Processor_1")),
 	}
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		sases.Node(n)
-	}
-	ids := make([]map[int]sas.QuestionID, len(questions))
+	ids := make([]sas.QuestionID, len(questions))
 	for i, q := range questions {
-		m, err := sases.AddQuestionAll(q)
+		id, err := sases.AddQuestionAll(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids[i] = m
+		ids[i] = id
 	}
 
 	if _, err := s.Run(); err != nil {

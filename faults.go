@@ -344,7 +344,13 @@ func dedupSorted(xs []string) []string {
 // runs over a lossy transport driven by the session injector; resync
 // enables snapshot recovery on persistent gaps. The link's Flush models
 // the sender's retransmit timer; the session report collects its stats.
+// Both nodes must be nodes of the session's machine.
 func (m *Monitor) ExportReliable(fromNode, toNode int, pattern sas.Term) (*sas.ReliableLink, error) {
+	for _, n := range []int{fromNode, toNode} {
+		if n < 0 || n >= m.session.Machine.Nodes() {
+			return nil, fmt.Errorf("nvmap: export node %d outside the machine's %d nodes", n, m.session.Machine.Nodes())
+		}
+	}
 	reg := m.session.Tool.SASes
 	from, to := reg.Node(fromNode), reg.Node(toNode)
 	var inner sas.Transport

@@ -256,7 +256,7 @@ func New(rt *cmrts.Runtime, lib *mdl.Library, opts Options) (*Tool, error) {
 		lib:          lib,
 		opts:         opts,
 		Axis:         NewWhereAxis(),
-		SASes:        sas.NewRegistry(sas.Options{Obs: opts.Obs}),
+		SASes:        sas.NewRegistry(rt.Machine().Nodes(), sas.Options{Obs: opts.Obs}),
 		arraysByName: make(map[string][]cmrts.ArrayID),
 		arrayNames:   make(map[cmrts.ArrayID]string),
 		blockSents:   make(map[string]nv.Sentence),

@@ -2,7 +2,6 @@ package sas
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -127,143 +126,119 @@ func (s *SAS) ApplyRemote(ev Event) {
 }
 
 // Registry holds the per-node SASes of one parallel program, mirroring the
-// SPMD duplication of application code.
+// SPMD duplication of application code: one SAS per node of a machine
+// whose node count is fixed when the registry is built.
 type Registry struct {
-	mu    sync.Mutex
-	nodes map[int]*SAS
-	// sorted is the SASes in node-id order. It is rebuilt — a fresh
-	// slice, never mutated in place — each time a node materialises, so
-	// a reader that grabbed it under mu may keep using it lock-free.
-	sorted []*SAS
-	// dense is a lock-free lookup table indexed by node id, rebuilt
-	// alongside sorted while the ids stay small and non-negative (the
-	// SPMD common case of nodes 0..N-1). Node() hits it without taking
-	// mu — monitoring snippets resolve their SAS once per notification,
-	// so the mutex was pure overhead on the hot path.
-	dense atomic.Pointer[[]*SAS]
-	opts  Options
+	nodes int
+	// table is the node table: every node's SAS, carved from one slab
+	// and published once, the first time anything needs a SAS. Node()
+	// is then a lock-free index; until then Nodes() is empty, so a
+	// reader (a metrics scrape, TotalStats) never creates one.
+	table atomic.Pointer[[]*SAS]
+	// mu guards table creation, opts, keep and nextID.
+	mu   sync.Mutex
+	opts Options
 	// keep is the verbs every SAS keeps under filtering (see Keep). It
 	// only grows, so a SAS may share it.
 	keep []nv.VerbHandle
-	// asked remembers every question registered through AddQuestionAll,
-	// in order, so ResetNode can re-register them after a crash with the
-	// same sequentially assigned QuestionIDs.
-	asked []Question
+	// nextID is the id the next question asked of any of the registry's
+	// SASes receives: a QuestionID names one question across every node.
+	nextID QuestionID
 }
 
-// NewRegistry returns a registry that creates per-node SASes with the
-// given base options (the Node field is overridden per node).
-func NewRegistry(opts Options) *Registry {
-	return &Registry{nodes: make(map[int]*SAS), opts: opts}
+// NewRegistry returns a registry of one SAS per node 0..nodes-1, built
+// with the given base options (the Node field is set per node). No SAS
+// exists until something needs one; then all of them are created
+// together.
+func NewRegistry(nodes int, opts Options) *Registry {
+	return &Registry{nodes: nodes, opts: opts}
 }
 
-// denseLimit bounds the dense lookup table: a registry with node ids
-// past it (or negative) serves lookups from the map instead.
-const denseLimit = 4096
-
-// Node returns (creating on first use) the SAS for a node.
+// Node returns the SAS of a node in [0, nodes); any other id panics.
 func (r *Registry) Node(node int) *SAS {
-	if d := r.dense.Load(); d != nil && node >= 0 && node < len(*d) {
-		if s := (*d)[node]; s != nil {
-			return s
-		}
+	if t := r.table.Load(); t != nil {
+		return (*t)[node]
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.nodes[node]
-	if !ok {
+	return r.tableLocked()[node]
+}
+
+// tableLocked returns the node table, creating it on first use: every
+// SAS from one slab, published once. Called with mu held.
+func (r *Registry) tableLocked() []*SAS {
+	if t := r.table.Load(); t != nil {
+		return *t
+	}
+	slab := make([]SAS, r.nodes)
+	t := make([]*SAS, r.nodes)
+	for i := range slab {
 		o := r.opts
-		o.Node = node
-		s = New(o)
+		o.Node = i
+		s := &slab[i]
+		s.init(o)
 		s.keep = r.keep
-		r.nodes[node] = s
-		// Rebuild the sorted snapshot rather than inserting in place:
-		// readers hold the old slice lock-free.
-		out := make([]*SAS, 0, len(r.nodes))
-		for _, x := range r.nodes {
-			out = append(out, x)
-		}
-		slices.SortFunc(out, func(a, b *SAS) int { return a.node - b.node })
-		r.sorted = out
-		r.rebuildDenseLocked()
+		s.reg = r
+		t[i] = s
 	}
-	return s
+	r.table.Store(&t)
+	return t
 }
 
-// rebuildDenseLocked refreshes the lock-free node lookup table from the
-// sorted snapshot. Registries with negative or very large node ids keep
-// a nil table and fall back to the map.
-func (r *Registry) rebuildDenseLocked() {
-	maxNode := -1
-	for _, s := range r.sorted {
-		if s.node < 0 || s.node >= denseLimit {
-			r.dense.Store(nil)
-			return
-		}
-		if s.node > maxNode {
-			maxNode = s.node
-		}
-	}
-	d := make([]*SAS, maxNode+1)
-	for _, s := range r.sorted {
-		d[s.node] = s
-	}
-	r.dense.Store(&d)
-}
-
-// Nodes returns all materialised SASes sorted by node id. The slice is
-// a shared immutable snapshot — callers must not modify it.
+// Nodes returns every node's SAS in node order, or nil while none has
+// been needed. The slice is shared — callers must not modify it.
 func (r *Registry) Nodes() []*SAS {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sorted
+	if t := r.table.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
-// AddQuestionAll registers the same question on every materialised SAS
-// and returns the per-node IDs keyed by node. This supports the common
-// SPMD pattern where all of Figure 6's questions "can be answered without
+// AddQuestionAll registers the same question on every node's SAS and
+// returns its id, the same on every node. This supports the common SPMD
+// pattern where all of Figure 6's questions "can be answered without
 // sharing any information between nodes": each node accumulates its local
 // share and the tool aggregates.
-func (r *Registry) AddQuestionAll(q Question) (map[int]QuestionID, error) {
+func (r *Registry) AddQuestionAll(q Question) (QuestionID, error) {
 	if err := q.validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	r.mu.Lock()
-	r.asked = append(r.asked, q)
-	r.mu.Unlock()
-	ids := make(map[int]QuestionID)
-	// Compile once: handles come from the process-wide interner, so the
-	// compiled matching state is node-independent and every SAS shares
-	// it instead of recompiling the pattern vector per node.
-	cq := compileQuestion(q)
-	for _, s := range r.Nodes() {
-		id, err := s.addQuestion(q, cq)
-		if err != nil {
-			return nil, err
-		}
-		ids[s.node] = id
-	}
-	return ids, nil
+	defer r.mu.Unlock()
+	return r.addLocked(q, r.tableLocked()), nil
 }
 
-// AggregateResult sums the per-node results of a question registered via
-// AddQuestionAll. The fold walks nodes in id order, so when several
-// nodes fail the lowest node id's error is the one reported.
-func (r *Registry) AggregateResult(ids map[int]QuestionID, now vtime.Time) (Result, error) {
+// addLocked registers q on each of nodes under the registry's next id.
+// The pattern is compiled once — handles come from the process-wide
+// interner, so the compiled state is node-independent — and the nodes'
+// measurement states are carved from one slab. Holding mu across the
+// installs keeps every node's ids, and so its posting lists, ascending.
+func (r *Registry) addLocked(q Question, nodes []*SAS) QuestionID {
+	id := r.nextID
+	r.nextID++
+	cq := compileQuestion(q)
+	states := make([]questionState, len(nodes))
+	for i, s := range nodes {
+		states[i].init(id, q, cq)
+		s.structMu.Lock()
+		s.install(&states[i])
+		s.structMu.Unlock()
+	}
+	return id
+}
+
+// AggregateResult sums every node's result for a question registered
+// with AddQuestionAll. The fold walks nodes in id order, so when several
+// nodes fail the lowest node's error is the one reported.
+func (r *Registry) AggregateResult(id QuestionID, now vtime.Time) (Result, error) {
 	var agg Result
-	first := true
-	for _, s := range r.Nodes() {
-		id, ok := ids[s.node]
-		if !ok {
-			continue
-		}
+	for i, s := range r.Nodes() {
 		res, err := s.Result(id, now)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("node %d: %w", s.node, err)
 		}
-		if first {
+		if i == 0 {
 			agg.Question = res.Question
-			first = false
 		}
 		agg.Count += res.Count
 		agg.EventTime += res.EventTime
@@ -274,13 +249,12 @@ func (r *Registry) AggregateResult(ids map[int]QuestionID, now vtime.Time) (Resu
 }
 
 // SetFilter turns relevance filtering (Options.Filter) on or off for
-// every materialised SAS and every later one.
+// every node's SAS, whether or not it exists yet.
 func (r *Registry) SetFilter(on bool) {
 	r.mu.Lock()
 	r.opts.Filter = on
-	nodes := r.sorted
 	r.mu.Unlock()
-	for _, s := range nodes {
+	for _, s := range r.Nodes() {
 		s.structMu.Lock()
 		s.filter = on
 		s.structMu.Unlock()
@@ -288,17 +262,17 @@ func (r *Registry) SetFilter(on bool) {
 }
 
 // Keep marks verbs whose sentences relevance filtering never drops, on
-// every materialised SAS and every later one: a consumer that reads the
-// active set directly (Active, Snapshot) rather than through a question
-// declares its verbs here.
+// every node's SAS, whether or not it exists yet: a consumer that reads
+// the active set directly (Active, Snapshot) rather than through a
+// question declares its verbs here.
 func (r *Registry) Keep(verbs ...nv.VerbID) {
 	r.mu.Lock()
 	for _, v := range verbs {
 		r.keep = append(r.keep, nv.DefaultInterner.Verb(v))
 	}
-	keep, nodes := r.keep, r.sorted
+	keep := r.keep
 	r.mu.Unlock()
-	for _, s := range nodes {
+	for _, s := range r.Nodes() {
 		s.structMu.Lock()
 		s.keep = keep
 		s.structMu.Unlock()
@@ -321,8 +295,8 @@ func (r *Registry) TotalStats() Stats {
 	return t
 }
 
-// ApplyRemoteAll applies one exported activation event to every
-// materialised SAS except the exporter's own, in node-id order — the
+// ApplyRemoteAll applies one exported activation event to every node's
+// SAS except the exporter's own, in node-id order — the
 // broadcast form of cross-node forwarding, for sentences every node's
 // questions may need (the paper's duplicated-SAS model makes
 // replication the common case).

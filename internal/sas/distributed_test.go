@@ -7,7 +7,7 @@ import (
 )
 
 func TestRegistryCreatesPerNodeSASes(t *testing.T) {
-	r := NewRegistry(Options{Filter: true})
+	r := NewRegistry(2, Options{Filter: true})
 	s0 := r.Node(0)
 	s1 := r.Node(1)
 	if s0 == s1 {
@@ -28,16 +28,10 @@ func TestRegistryCreatesPerNodeSASes(t *testing.T) {
 // Figure 6's questions "can be answered without sharing any information
 // between nodes": register per-node, aggregate at the tool.
 func TestAddQuestionAllAndAggregate(t *testing.T) {
-	r := NewRegistry(Options{})
-	for n := 0; n < 4; n++ {
-		r.Node(n)
-	}
-	ids, err := r.AddQuestionAll(Q("sends during sumA", T("Sum", "A"), T("Send", Any)))
+	r := NewRegistry(4, Options{})
+	id, err := r.AddQuestionAll(Q("sends during sumA", T("Sum", "A"), T("Send", Any)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(ids) != 4 {
-		t.Fatalf("ids = %v", ids)
 	}
 	// Each node sums A locally and sends a different number of messages.
 	for n := 0; n < 4; n++ {
@@ -50,7 +44,7 @@ func TestAddQuestionAllAndAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg, err := r.AggregateResult(ids, 200)
+	agg, err := r.AggregateResult(id, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +57,7 @@ func TestAddQuestionAllAndAggregate(t *testing.T) {
 		t.Fatalf("aggregate SatisfiedTime = %v, want 0", agg.SatisfiedTime)
 	}
 
-	sumIDs, err := r.AddQuestionAll(Q("sum active", T("Sum", "A")))
+	sumID, err := r.AddQuestionAll(Q("sum active", T("Sum", "A")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +68,7 @@ func TestAddQuestionAllAndAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sumAgg, err := r.AggregateResult(sumIDs, 2000)
+	sumAgg, err := r.AggregateResult(sumID, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +85,7 @@ func TestAddQuestionAllAndAggregate(t *testing.T) {
 // send one sentence (client query is active) to the server's SAS whenever
 // that sentence became active or inactive."
 func TestCrossNodeExport(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client := r.Node(0)
 	server := r.Node(1)
 

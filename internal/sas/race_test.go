@@ -17,10 +17,7 @@ import (
 // fails if any counter is touched outside the lock.
 func TestConcurrentStatsReaders(t *testing.T) {
 	const nodes, rounds = 4, 300
-	r := NewRegistry(Options{})
-	for n := 0; n < nodes; n++ {
-		r.Node(n)
-	}
+	r := NewRegistry(nodes, Options{})
 	if _, err := r.AddQuestionAll(Q("busy", T("Busy", Any))); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +76,67 @@ func TestConcurrentStatsReaders(t *testing.T) {
 	}
 	if st.Events != nodes*rounds {
 		t.Errorf("Events = %d, want %d", st.Events, nodes*rounds)
+	}
+}
+
+// TestConcurrentNodeTableCreation drives the first creation of the
+// node table from several goroutines at once — writers that each need
+// their node's SAS, and readers of Nodes() and TotalStats() that must
+// never create one — and pins that exactly one table is published:
+// every goroutine sees the same SAS per node, and no notification lands
+// on a table that lost the race. Run under -race it also fails if the
+// table is published or read outside the atomic pointer.
+func TestConcurrentNodeTableCreation(t *testing.T) {
+	const nodes, rounds = 4, 50
+	r := NewRegistry(nodes, Options{})
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			<-start
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ns := r.Nodes(); ns != nil && len(ns) != nodes {
+					t.Errorf("Nodes() = %d SASes, want %d", len(ns), nodes)
+				}
+				_ = r.TotalStats()
+			}
+		}()
+	}
+	got := make([]*SAS, nodes)
+	var writers sync.WaitGroup
+	for n := 0; n < nodes; n++ {
+		writers.Add(1)
+		go func(n int) {
+			defer writers.Done()
+			<-start
+			s := r.Node(n)
+			got[n] = s
+			sn := sent("Busy", fmt.Sprintf("n%d", n))
+			for i := 0; i < rounds; i++ {
+				s.Activate(sn, vtime.Time(i*10))
+				_ = s.Deactivate(sn, vtime.Time(i*10+5))
+			}
+		}(n)
+	}
+	close(start)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	for n, s := range got {
+		if s != r.Node(n) || s != r.Nodes()[n] || s.Node() != n {
+			t.Fatalf("node %d: the writer's SAS is not the published one", n)
+		}
+	}
+	if st := r.TotalStats(); st.Notifications != nodes*rounds*2 {
+		t.Fatalf("Notifications = %d, want %d: a losing table took writes", st.Notifications, nodes*rounds*2)
 	}
 }
 

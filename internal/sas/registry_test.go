@@ -8,83 +8,107 @@ import (
 	"nvmap/internal/vtime"
 )
 
-// TestAggregateResultEmptyRegistry: aggregating over no nodes (or an id
-// map covering none of them) is a zero result, not an error.
+// TestAggregateResultEmptyRegistry: aggregating before any SAS exists,
+// or over a registry of no nodes, is a zero result, not an error.
 func TestAggregateResultEmptyRegistry(t *testing.T) {
-	r := NewRegistry(Options{})
-	agg, err := r.AggregateResult(map[int]QuestionID{0: 1}, 100)
-	if err != nil {
-		t.Fatal(err)
+	for _, nodes := range []int{4, 0} {
+		r := NewRegistry(nodes, Options{})
+		if nodes == 0 {
+			if _, err := r.AddQuestionAll(Q("q", T("Busy", Any))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		agg, err := r.AggregateResult(1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.Count != 0 || agg.EventTime != 0 || agg.SatisfiedTime != 0 || agg.Satisfied {
+			t.Fatalf("empty aggregate = %+v", agg)
+		}
+		if st := r.TotalStats(); st != (Stats{}) {
+			t.Fatalf("empty TotalStats = %+v", st)
+		}
 	}
-	if agg.Count != 0 || agg.EventTime != 0 || agg.SatisfiedTime != 0 || agg.Satisfied {
-		t.Fatalf("empty aggregate = %+v", agg)
-	}
-	if st := r.TotalStats(); st != (Stats{}) {
-		t.Fatalf("empty TotalStats = %+v", st)
+	if n := len(NewRegistry(4, Options{}).Nodes()); n != 0 {
+		t.Fatalf("a fresh registry holds %d SASes, want 0", n)
 	}
 }
 
-// TestAggregateResultSkipsUncoveredNodes: nodes absent from the id map
-// simply do not contribute (the question was registered before those
-// nodes materialised).
-func TestAggregateResultSkipsUncoveredNodes(t *testing.T) {
-	r := NewRegistry(Options{})
-	for n := 0; n < 12; n++ {
-		r.Node(n)
-	}
-	ids, err := r.AddQuestionAll(Q("q", T("Busy", Any)))
+// TestQuestionBeforeAnySASAnsweredOnEveryNode: a question registered
+// through the registry before any node's SAS exists creates the node
+// table and is held, under its one id, by every node — each node
+// answers its share and the aggregate sums them all.
+func TestQuestionBeforeAnySASAnsweredOnEveryNode(t *testing.T) {
+	const nodes = 12
+	r := NewRegistry(nodes, Options{})
+	first, err := r.AddQuestionAll(Q("first", T("Busy", Any)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 12; n++ {
+	id, err := r.AddQuestionAll(Q("q", T("Busy", Any)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 0 || id != 1 {
+		t.Fatalf("ids = %d, %d; want 0, 1 (the registry's question indexes)", first, id)
+	}
+	if got := len(r.Nodes()); got != nodes {
+		t.Fatalf("%d SASes after AddQuestionAll, want %d", got, nodes)
+	}
+	for n := 0; n < nodes; n++ {
 		s := r.Node(n)
 		s.Activate(sent("Busy", "x"), 0)
 		if err := s.Deactivate(sent("Busy", "x"), 10); err != nil {
 			t.Fatal(err)
 		}
+		res, err := s.Result(id, 100)
+		if err != nil {
+			t.Fatalf("node %d does not hold question %d: %v", n, id, err)
+		}
+		if res.SatisfiedTime != 10 {
+			t.Fatalf("node %d SatisfiedTime = %v, want 10", n, res.SatisfiedTime)
+		}
 	}
-	// Drop half the nodes from the map: only the covered half counts.
-	for n := 0; n < 12; n += 2 {
-		delete(ids, n)
-	}
-	agg, err := r.AggregateResult(ids, 100)
+	agg, err := r.AggregateResult(id, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.SatisfiedTime != 6*10 {
-		t.Fatalf("SatisfiedTime = %v, want 60", agg.SatisfiedTime)
+	if agg.SatisfiedTime != nodes*10 || agg.Question.Label != "q" {
+		t.Fatalf("aggregate = %+v, want SatisfiedTime %d", agg, nodes*10)
 	}
 }
 
-// TestAggregateResultReportsFirstErrorInNodeOrder: when several nodes
-// fail, the reported error is the lowest node's.
+// TestAggregateResultReportsFirstErrorInNodeOrder: a question asked of
+// one node only is unknown to the others, and aggregating it reports
+// the lowest failing node. A node's own AddQuestion draws its id from
+// the registry, so it never collides with a question asked of all.
 func TestAggregateResultReportsFirstErrorInNodeOrder(t *testing.T) {
-	r := NewRegistry(Options{})
-	for n := 0; n < 12; n++ {
-		r.Node(n)
-	}
-	ids, err := r.AddQuestionAll(Q("q", T("Busy", Any)))
+	r := NewRegistry(12, Options{})
+	all, err := r.AddQuestionAll(Q("q", T("Busy", Any)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids[3] = 97 // bogus: distinct values so the error identifies the node
-	ids[7] = 98
-	_, err = r.AggregateResult(ids, 100)
-	if err == nil {
-		t.Fatal("bogus question ids aggregated without error")
+	local, err := r.Node(0).AddQuestion(Q("local", T("Busy", Any)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "97") {
-		t.Fatalf("error %q is not node 3's (want unknown question 97)", err)
+	if local == all {
+		t.Fatalf("node question took the registry question's id %d", all)
+	}
+	_, err = r.AggregateResult(local, 100)
+	if err == nil {
+		t.Fatal("a one-node question aggregated over every node without error")
+	}
+	if !strings.Contains(err.Error(), "node 1:") {
+		t.Fatalf("error %q is not node 1's (the lowest node without the question)", err)
 	}
 }
 
 // TestApplyRemoteAllBroadcasts: the broadcast form reaches every SAS
 // except the exporter's own.
 func TestApplyRemoteAllBroadcasts(t *testing.T) {
-	r := NewRegistry(Options{})
-	for n := 0; n < 12; n++ {
-		r.Node(n)
-	}
+	r := NewRegistry(12, Options{})
+	r.Node(0)
 	sn := sent("QueryActive", "q7")
 	r.ApplyRemoteAll(Event{Sentence: sn, Active: true, At: 5, FromNode: 2})
 	for n := 0; n < 12; n++ {
@@ -145,20 +169,18 @@ func TestCrossNodeExportUnderConcurrentAppliers(t *testing.T) {
 	}
 }
 
-// TestRegistryKeepAndSetFilter: SetFilter and Keep reach the SASes
-// already materialised and the ones created later, and a kept verb's
+// TestRegistryKeepAndSetFilter: SetFilter and Keep reach the node
+// table whether they come before it exists or after, and a kept verb's
 // sentences are stored under filtering even when no question names
 // them.
 func TestRegistryKeepAndSetFilter(t *testing.T) {
-	r := NewRegistry(Options{})
-	r.Node(0)
+	r := NewRegistry(3, Options{})
 	r.SetFilter(true)
 	r.Keep("Busy")
-	r.Node(1)
 	if _, err := r.AddQuestionAll(Q("onlyA", T("Sum", "A"))); err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 2; n++ {
+	for n := 0; n < 3; n++ {
 		s := r.Node(n)
 		s.Activate(sent("Busy", "blk"), 10) // kept: no question, still stored
 		s.Activate(sent("Max", "B"), 20)    // neither kept nor asked: filtered
@@ -167,8 +189,15 @@ func TestRegistryKeepAndSetFilter(t *testing.T) {
 			t.Fatalf("node %d: active set %v, want {blk Busy} and {A Sum}", n, s.Snapshot())
 		}
 	}
+	r.Keep("Idle")
+	for n := 0; n < 3; n++ {
+		s := r.Node(n)
+		s.Activate(sent("Idle", "i"), 35)
+		if !s.Active(sent("Idle", "i")) {
+			t.Fatalf("node %d filtered a verb kept after the table existed", n)
+		}
+	}
 	r.SetFilter(false)
-	r.Node(2)
 	for n := 0; n < 3; n++ {
 		s := r.Node(n)
 		s.Activate(sent("Max", "C"), 40)

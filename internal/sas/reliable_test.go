@@ -69,7 +69,7 @@ const (
 // A ReliableLink over a perfect transport behaves exactly like a plain
 // export, and every event ends up acknowledged.
 func TestReliableLinkLossless(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	link, err := client.ExportReliable(T("QueryActive", Any), server, nil, true)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestReliableLinkLossless(t *testing.T) {
 // fires between operations converges to exactly the lossless answers.
 func TestLossyConvergesToLossless(t *testing.T) {
 	// Lossless baseline over a plain export.
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	if err := client.Export(T("QueryActive", Any), server, nil); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestLossyConvergesToLossless(t *testing.T) {
 	inj := fault.NewInjector(&fault.Plan{Seed: 1234, SAS: fault.SASFaults{
 		DropProb: 0.4, DupProb: 0.2, ReorderProb: 0.2, Resync: true,
 	}})
-	r2 := NewRegistry(Options{})
+	r2 := NewRegistry(2, Options{})
 	client2, server2 := r2.Node(0), r2.Node(1)
 	lossy := &LossyTransport{Inj: inj}
 	link, err := client2.ExportReliable(T("QueryActive", Any), server2, lossy, true)
@@ -130,7 +130,7 @@ func TestLossyConvergesToLossless(t *testing.T) {
 // Duplicated events are detected by sequence number and discarded.
 func TestDuplicateSuppression(t *testing.T) {
 	inj := fault.NewInjector(&fault.Plan{Seed: 5, SAS: fault.SASFaults{DupProb: 1}})
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	link, err := client.ExportReliable(T("QueryActive", Any), server, &LossyTransport{Inj: inj}, false)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestDuplicateSuppression(t *testing.T) {
 // the server never acts on a stale view.
 func TestReorderBuffered(t *testing.T) {
 	inj := fault.NewInjector(&fault.Plan{Seed: 3, SAS: fault.SASFaults{ReorderProb: 1}})
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	lossy := &LossyTransport{Inj: inj}
 	link, err := client.ExportReliable(T("QueryActive", Any), server, lossy, false)
@@ -190,7 +190,7 @@ func (g *dropGate) Send(ev Event, to *SAS) {
 // retransmission and pulls a snapshot of the sender's matching active
 // set; the views converge and stale retransmits are ignored.
 func TestGapTriggersResync(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	gate := &dropGate{}
 	link, err := client.ExportReliable(T("QueryActive", Any), server, gate, true)
@@ -238,7 +238,7 @@ func TestGapTriggersResync(t *testing.T) {
 // Flush falls back to a snapshot resync so the receiver still
 // converges.
 func TestFlushFallsBackToResync(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(2, Options{})
 	client, server := r.Node(0), r.Node(1)
 	gate := &dropGate{drop: true}
 	link, err := client.ExportReliable(T("QueryActive", Any), server, gate, true)
@@ -264,7 +264,7 @@ func TestFlushFallsBackToResync(t *testing.T) {
 // A resync must only touch entries owned by its own link: local
 // sentences and entries from other links survive.
 func TestResyncScopedToLink(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(3, Options{})
 	a, b, server := r.Node(0), r.Node(1), r.Node(2)
 	gateA := &dropGate{}
 	linkA, err := a.ExportReliable(T("QueryActive", Any), server, gateA, true)

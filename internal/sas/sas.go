@@ -77,7 +77,8 @@ import (
 	"nvmap/internal/vtime"
 )
 
-// QuestionID identifies a registered question within one SAS.
+// QuestionID identifies a registered question: within one SAS, or,
+// for the SASes of one Registry, across every node.
 type QuestionID int
 
 // ActiveSentence is one entry of a SAS snapshot.
@@ -247,11 +248,10 @@ type questionState struct {
 	watch     func(bool, vtime.Time)
 }
 
-func newQuestionState(id QuestionID, q Question, cq *compiledQuestion) *questionState {
-	if cq == nil {
-		cq = compileQuestion(q)
-	}
-	st := &questionState{id: id, q: q, all: cq.all, expr: cq.expr}
+// init readies a zero state for question q under id, sharing the
+// compiled matching state cq.
+func (st *questionState) init(id QuestionID, q Question, cq *compiledQuestion) {
+	*st = questionState{id: id, q: q, all: cq.all, expr: cq.expr}
 	if n := len(st.all); n <= len(st.countsBuf) {
 		st.counts = st.countsBuf[:n:n]
 	} else {
@@ -260,7 +260,6 @@ func newQuestionState(id QuestionID, q Question, cq *compiledQuestion) *question
 	if cq.trig {
 		st.trig = &st.all[len(st.all)-1]
 	}
-	return st
 }
 
 // columns is the struct-of-arrays active set. The columns are parallel —
@@ -372,6 +371,9 @@ func (sh *columns) appendRows(dst []ActiveSentence, keep func(row int) bool) []A
 // use, under one lock, at the synchronisation cost the paper warns about.
 type SAS struct {
 	node int
+	// reg is the Registry the SAS belongs to, or nil for a standalone
+	// SAS; a registry numbers the questions of all its SASes.
+	reg *Registry
 
 	// structMu is the one lock: it guards every field below; see the
 	// package comment.
@@ -395,11 +397,12 @@ type SAS struct {
 	byVerb    [][]QuestionID
 	byNoun    [][]QuestionID
 	wildcardQ []QuestionID
-	// qstates is indexed by QuestionID (ids are assigned sequentially;
-	// removed questions leave nil holes); nq counts live questions.
+	// qstates is indexed by QuestionID. A standalone SAS numbers its
+	// questions 0, 1, 2, ...; a registry node leaves nil holes at the
+	// ids of questions asked only of other nodes. nq counts the
+	// questions held.
 	qstates []*questionState
 	nq      int
-	nextID  QuestionID
 
 	stats Stats
 
@@ -440,13 +443,18 @@ type Options struct {
 
 // New returns an empty SAS.
 func New(opts Options) *SAS {
-	s := &SAS{
-		node:   opts.Node,
-		filter: opts.Filter,
-		obsT:   opts.Obs.Trace(),
-	}
-	s.carveColumns()
+	s := &SAS{}
+	s.init(opts)
 	return s
+}
+
+// init readies a zero SAS, in place (a Registry carves its SASes from
+// one slab).
+func (s *SAS) init(opts Options) {
+	s.node = opts.Node
+	s.filter = opts.Filter
+	s.obsT = opts.Obs.Trace()
+	s.carveColumns()
 }
 
 // initRows is the starting column capacity carved at construction. Kept
@@ -500,50 +508,51 @@ func (s *SAS) qstate(id QuestionID) *questionState {
 
 // AddQuestion registers a performance question and returns its handle.
 // In the paper's usage the asking of performance questions is deferred
-// until run time; adding and removing questions while sentences are active
-// is fully supported — a newly added question starts unsatisfied and is
-// immediately evaluated against the current active set.
+// until run time; adding questions while sentences are active is fully
+// supported — a newly added question starts unsatisfied and is
+// immediately evaluated against the current active set. On a registry
+// node the id comes from the registry, so it names this question on no
+// other node.
 func (s *SAS) AddQuestion(q Question) (QuestionID, error) {
-	return s.addQuestion(q, nil)
-}
-
-// addQuestion registers q, reusing a pre-compiled matching state when the
-// caller (a Registry fanning one question out to every node) provides
-// one.
-func (s *SAS) addQuestion(q Question, cq *compiledQuestion) (QuestionID, error) {
 	if err := q.validate(); err != nil {
 		return 0, err
 	}
+	if r := s.reg; r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.addLocked(q, []*SAS{s}), nil
+	}
+	st := &questionState{}
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	id := s.nextID
-	s.nextID++
-	st := newQuestionState(id, q, cq)
-	if int(id) >= len(s.qstates) {
-		// Grow with slack in one shot; trailing slots are the same nil
-		// holes a removed question leaves, which every reader skips.
-		n := 2 * (int(id) + 1)
-		if n < 8 {
-			n = 8
-		}
+	st.init(QuestionID(s.nq), q, compileQuestion(q))
+	s.install(st)
+	return st.id, nil
+}
+
+// install files a new question state under its id, indexes it and seeds
+// its per-term match counts from the current active set — one batch
+// column sweep per term — so a question asked mid-execution picks up
+// already-active sentences. MatchesEvaluated counts the model-level
+// rows×terms tests regardless of how many compares the verb-column reject
+// skipped. Called with structMu held.
+func (s *SAS) install(st *questionState) {
+	if int(st.id) >= len(s.qstates) {
+		// Grow with slack in one shot; trailing slots are nil holes,
+		// which every reader skips.
+		n := max(2*(int(st.id)+1), 8)
 		ns := make([]*questionState, n)
 		copy(ns, s.qstates)
 		s.qstates = ns
 	}
-	s.qstates[id] = st
+	s.qstates[st.id] = st
 	s.nq++
 	s.indexQuestion(st)
-	// Seed the per-term match counts from the current active set — one
-	// batch column sweep per term — so a question asked mid-execution
-	// picks up already-active sentences. MatchesEvaluated counts the
-	// model-level rows×terms tests regardless of how many compares the
-	// verb-column reject skipped.
 	for j := range st.all {
 		st.counts[j] = s.act.countMatches(&st.all[j])
 	}
 	s.stats.MatchesEvaluated += s.act.rows() * len(st.all)
 	s.recomputeGate(st, s.lastKnownTime())
-	return id, nil
 }
 
 // postVerb appends id to the posting list of verb handle vh, growing the
@@ -622,34 +631,6 @@ func (s *SAS) indexQuestion(st *questionState) {
 			}
 		}
 	}
-}
-
-// RemoveQuestion deletes a question; its accumulated results are lost.
-func (s *SAS) RemoveQuestion(id QuestionID) error {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	if s.qstate(id) == nil {
-		return fmt.Errorf("sas: unknown question %d", id)
-	}
-	s.qstates[id] = nil
-	s.nq--
-	for v := range s.byVerb {
-		s.byVerb[v] = removeQID(s.byVerb[v], id)
-	}
-	for n := range s.byNoun {
-		s.byNoun[n] = removeQID(s.byNoun[n], id)
-	}
-	s.wildcardQ = removeQID(s.wildcardQ, id)
-	return nil
-}
-
-func removeQID(ids []QuestionID, id QuestionID) []QuestionID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // Watch attaches a callback fired whenever the question's satisfied state

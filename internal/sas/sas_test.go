@@ -226,25 +226,6 @@ func TestQuestionAddedMidRunSeesActiveSet(t *testing.T) {
 	}
 }
 
-func TestRemoveQuestion(t *testing.T) {
-	s := New(Options{})
-	id, _ := s.AddQuestion(Q("q", T("Sum", "A")))
-	if err := s.RemoveQuestion(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveQuestion(id); err == nil {
-		t.Fatal("double removal accepted")
-	}
-	if _, err := s.Result(id, 0); err == nil {
-		t.Fatal("result for removed question")
-	}
-	// Activation after removal must not panic or charge anything.
-	s.Activate(sent("Sum", "A"), 10)
-	if hits := s.RecordEvent(sent("Sum", "A"), 11, 1); hits != 0 {
-		t.Fatal("removed question charged")
-	}
-}
-
 func TestQuestionValidation(t *testing.T) {
 	s := New(Options{})
 	if _, err := s.AddQuestion(Q("empty")); err == nil {

@@ -146,8 +146,8 @@ func (s *SAS) recountQuestions() {
 }
 
 // RestoreState overwrites the SAS's active set and question results from
-// a snapshot. Questions must already be registered (Reset re-registers
-// them); snapshots of questions the SAS no longer knows are dropped.
+// a snapshot. Questions must already be registered (Reset keeps
+// them); snapshots of questions the SAS does not know are dropped.
 // Watch callbacks fire with each question's restored gate state so
 // externally mirrored flags resynchronise.
 func (s *SAS) RestoreState(st State) {
@@ -177,43 +177,36 @@ func (s *SAS) RestoreState(st State) {
 }
 
 // Reset wipes the SAS in place — the fail-stop rebirth. The active set,
-// questions, results, statistics and receiver-side link sequencing state
-// all vanish; export rules and the journal hook survive (they model
-// wiring the supervisor re-establishes on reboot, and keeping them in
-// place keeps every *SAS pointer held by links and instrumentation
-// valid). Incoming ReliableLink traffic sees a fresh receiver and
+// every question's results, statistics and receiver-side link
+// sequencing state vanish. What the supervisor re-establishes on reboot
+// survives: question registrations (ids, posting index, Watch
+// callbacks), export rules and the journal hook — so every *SAS and
+// QuestionID held by links, instrumentation and the tool stays valid.
+// Each question's gate is re-evaluated against the empty set in id
+// order, as if asked anew, so a watcher hears a gate the wipe closes.
+// Incoming ReliableLink traffic sees a fresh receiver and
 // converges via its gap/resync protocol.
 func (s *SAS) Reset() {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
 	s.carveColumns()
-	s.qstates = nil
-	s.nq = 0
-	s.byVerb = nil
-	s.byNoun = nil
-	s.wildcardQ = nil
-	s.nextID = 0
 	s.stats = Stats{}
 	s.links = nil
+	for _, st := range s.qstates {
+		if st == nil {
+			continue
+		}
+		clear(st.counts)
+		s.recomputeGate(st, 0)
+		st.since, st.satTime, st.count, st.evTime = 0, 0, 0, 0
+	}
 }
 
-// ResetNode wipes a node's SAS in place and re-registers every question
-// previously asked through AddQuestionAll, in the original order — so
-// QuestionIDs handed out before the crash stay valid (they are assigned
-// sequentially from zero). Questions added directly on the node SAS,
-// bypassing the registry, are not remembered. Returns the node's SAS.
+// ResetNode wipes a node's SAS in place (see Reset) and returns it.
+// Questions and their ids survive the crash, and so do Watch callbacks.
 func (r *Registry) ResetNode(node int) *SAS {
-	r.mu.Lock()
-	s := r.nodes[node]
-	asked := append([]Question(nil), r.asked...)
-	r.mu.Unlock()
-	if s == nil {
-		return r.Node(node)
-	}
+	s := r.Node(node)
 	s.Reset()
-	for _, q := range asked {
-		_, _ = s.AddQuestion(q)
-	}
 	return s
 }
 

@@ -1,6 +1,11 @@
 package sas
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"nvmap/internal/vtime"
+)
 
 // The journal hook sees every local operation; Replay reproduces them
 // without re-journaling, so a recovered SAS converges to the original.
@@ -74,14 +79,14 @@ func TestExportRestoreStateRoundtrip(t *testing.T) {
 		t.Fatalf("exported %+v", st)
 	}
 
-	// Wipe and restore: Reset keeps nothing, so re-add the question first
-	// (RestoreState only fills questions the SAS knows).
+	// Wipe and restore: Reset keeps the question registered (RestoreState
+	// only fills questions the SAS knows) and zeroes its results.
 	s.Reset()
 	if s.Size() != 0 {
 		t.Fatal("reset left active sentences")
 	}
-	if _, err := s.AddQuestion(Q("q", T("Sum", "A"))); err != nil {
-		t.Fatal(err)
+	if r, err := s.Result(qid, 20); err != nil || r.Count != 0 || r.Satisfied {
+		t.Fatalf("after reset: %+v, %v", r, err)
 	}
 	s.RestoreState(st)
 	if !s.Active(sent("Sum", "A")) {
@@ -99,49 +104,56 @@ func TestExportRestoreStateRoundtrip(t *testing.T) {
 	s.RestoreState(st)
 }
 
-// Registry.ResetNode wipes in place and re-registers every question
-// asked through AddQuestionAll in the original order, so QuestionIDs
-// held by the tool stay valid across a crash.
-func TestRegistryResetNodeKeepsQuestionIDs(t *testing.T) {
-	r := NewRegistry(Options{})
-	// Materialise two nodes.
-	r.Node(0)
-	r.Node(1)
-	ids1, err := r.AddQuestionAll(Q("first", T("Sum", "A")))
+// Registry.ResetNode wipes a node in place but keeps its questions: ids
+// handed out before the crash stay valid with their results zeroed, and
+// a question watched before the crash still reports its gate flips —
+// the §6.1 flag stays wired through a reboot.
+func TestResetNodeKeepsQuestionsAndWatchers(t *testing.T) {
+	r := NewRegistry(2, Options{})
+	first, err := r.AddQuestionAll(Q("first", T("Sum", "A")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids2, err := r.AddQuestionAll(Q("second", T("Send", Any)))
+	second, err := r.AddQuestionAll(Q("second", T("Send", Any)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	n0 := r.Node(0)
+	var flips []bool
+	if err := n0.Watch(first, func(sat bool, _ vtime.Time) { flips = append(flips, sat) }); err != nil {
+		t.Fatal(err)
+	}
 	n0.Activate(sent("Sum", "A"), 5)
 	n0.RecordEvent(sent("Sum", "A"), 6, 1)
-	reborn := r.ResetNode(0)
-	if reborn != n0 {
+	if reborn := r.ResetNode(0); reborn != n0 {
 		t.Fatal("ResetNode returned a different SAS — held pointers broke")
 	}
-	if n0.Size() != 0 {
-		t.Fatal("reset node kept active sentences")
+	if n0.Size() != 0 || n0.Stats().Notifications != 0 {
+		t.Fatal("reset node kept active sentences or statistics")
 	}
-	res, err := n0.Result(ids2[0], 10)
-	if err != nil {
-		t.Fatalf("question ID %v invalid after reset: %v", ids2[0], err)
+	for _, id := range []QuestionID{first, second} {
+		res, err := n0.Result(id, 10)
+		if err != nil {
+			t.Fatalf("question %d invalid after reset: %v", id, err)
+		}
+		if res.Count != 0 || res.SatisfiedTime != 0 || res.Satisfied {
+			t.Fatalf("reborn node kept results of question %d: %+v", id, res)
+		}
 	}
-	if res.Count != 0 {
-		t.Fatalf("reborn node kept results: %+v", res)
-	}
-	if _, err := n0.Result(ids1[0], 10); err != nil {
+	// The wipe closed the gate; after the reboot the watcher hears the
+	// same id's gate open and close again.
+	n0.Activate(sent("Sum", "A"), 20)
+	if err := n0.Deactivate(sent("Sum", "A"), 30); err != nil {
 		t.Fatal(err)
+	}
+	if want := []bool{true, false, true, false}; !slices.Equal(flips, want) {
+		t.Fatalf("watch flips = %v, want %v", flips, want)
+	}
+	if res, _ := n0.Result(first, 40); res.SatisfiedTime != 10 {
+		t.Fatalf("post-crash SatisfiedTime = %v, want 10", res.SatisfiedTime)
 	}
 	// The untouched node is unaffected.
-	if _, err := r.Node(1).Result(ids1[1], 10); err != nil {
-		t.Fatal(err)
-	}
-	// Resetting a node that was never materialised just creates it.
-	if r.ResetNode(7) == nil {
-		t.Fatal("ResetNode(7) returned nil")
+	if res, err := r.Node(1).Result(first, 10); err != nil || res.Count != 0 {
+		t.Fatalf("node 1: %+v, %v", res, err)
 	}
 }

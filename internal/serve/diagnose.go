@@ -19,7 +19,8 @@ import (
 // one run slot for its whole search (the base instrumented run plus
 // every focused replay). Each of the search's sessions runs under the
 // tenant allowance left after the sessions before it, and the tenant
-// is charged the virtual time of every session the search ran. Drain,
+// is charged the virtual time and allocation bytes of every session the
+// search ran. Drain,
 // deadline expiry or an exhausted allowance cuts the in-flight run at
 // an exact virtual-time operation boundary, ending the stream with a
 // typed error event after the findings already gathered.
@@ -51,7 +52,7 @@ func (req *DiagnoseRequest) validate(maxNodes int) error {
 // start is the diagnosis route's middle: the search's base run reuses
 // the session the pipeline compiled, and every replay builds a fresh
 // one under what is left of the allowance.
-func (req *DiagnoseRequest) start(j job, first *nvmap.Session) (func(context.Context, http.ResponseWriter) outcome, error) {
+func (req *DiagnoseRequest) start(j *job, first *nvmap.Session) (func(context.Context, http.ResponseWriter) outcome, error) {
 	return func(ctx context.Context, w http.ResponseWriter) (out outcome) {
 		c := paradyn.NewConsultant()
 		c.Budget = req.Budget
@@ -76,7 +77,7 @@ func (req *DiagnoseRequest) start(j job, first *nvmap.Session) (func(context.Con
 			sess := first
 			if sess == nil {
 				var err error
-				if sess, err = j.session(out.charge); err != nil {
+				if sess, err = j.session(); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -84,8 +85,7 @@ func (req *DiagnoseRequest) start(j job, first *nvmap.Session) (func(context.Con
 			// Every session the search runs is charged, a cut one up to
 			// its cut.
 			run := func() error {
-				_, err := sess.RunContext(ctx)
-				out.charge += sess.Elapsed()
+				_, err := j.run(ctx, sess)
 				return err
 			}
 			return sess.Tool, run, nil

@@ -192,3 +192,54 @@ func TestDiagnoseQuotaCutsSearch(t *testing.T) {
 		t.Fatalf("tenant usage %+v: want the cut search charged past its %v quota and short of the full %d ns", u, quota, total)
 	}
 }
+
+// TestDiagnoseAllocQuotaCutsSearch is TestDiagnoseQuotaCutsSearch for
+// the allocation quota: the request's one meter carries allocation
+// bytes as well as virtual time, so each search session runs under the
+// allocation allowance the sessions before it left, an allocation quota
+// between one run's bytes and the whole search's cuts the search over
+// budget, and the tenant is charged the bytes of every session the
+// search ran.
+func TestDiagnoseAllocQuotaCutsSearch(t *testing.T) {
+	req := DiagnoseRequest{Tenant: "bounded", Source: diagSource, Nodes: 4}
+
+	// The unlimited server prices both bounds: one plain run of the
+	// program, and the whole unlimited search.
+	free := NewServer(Config{MaxConcurrent: 1})
+	fts := httptest.NewServer(free.Handler())
+	defer fts.Close()
+	body, _ := json.Marshal(SessionRequest{Tenant: "one-run", Source: diagSource, Nodes: 4})
+	if status, _, events := postBody(t, fts, "/v1/sessions", body); status != http.StatusOK {
+		t.Fatalf("plain run: status %d %+v", status, events)
+	}
+	if _, _, events := postDiagnose(t, fts, req); eventByKind(events, "diagnosis") == nil {
+		t.Fatalf("unlimited search events %+v", events)
+	}
+	usage := free.tenants.usage()
+	run, total := usage["one-run"].AllocBytes, usage["bounded"].AllocBytes
+	if run <= 0 || total <= run {
+		t.Fatalf("one run allocates %d bytes, the search %d: the diagnosis was not charged its sessions' allocations", run, total)
+	}
+	t.Logf("one run %d bytes, whole search %d bytes", run, total)
+	quota := run + (total-run)/2
+
+	s := NewServer(Config{MaxConcurrent: 1, Quotas: map[string]TenantQuota{"bounded": {MaxAllocBytes: quota}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, _, events := postDiagnose(t, ts, req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d %+v", status, events)
+	}
+	if last := events[len(events)-1]; last.Event != "error" || last.Error.Kind != "over budget" {
+		t.Fatalf("search under a %d-byte quota ends in %+v, want an over budget error", quota, last)
+	}
+	if eventByKind(events, "finding") == nil {
+		t.Fatalf("the base run's findings did not stream: %+v", events)
+	}
+	if c := s.Counters(); c.Cut != 1 || c.Failed != 1 || c.Completed != 0 {
+		t.Fatalf("counters %+v", c)
+	}
+	if u := s.tenants.usage()["bounded"]; u.Active != 0 || u.AllocBytes <= quota {
+		t.Fatalf("tenant usage %+v: want the cut search charged past its %d-byte quota", u, quota)
+	}
+}

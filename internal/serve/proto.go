@@ -82,7 +82,8 @@ type QuestionSpec struct {
 // drain apply the same way — a diagnosis holds one run slot for its
 // whole search (base run plus replays), runs each of the search's
 // sessions under the tenant allowance left after the ones before it,
-// and charges the tenant every session's virtual time.
+// and charges the tenant every session's virtual time and allocation
+// bytes.
 type DiagnoseRequest struct {
 	Tenant   string `json:"tenant,omitempty"`
 	Source   string `json:"source,omitempty"`

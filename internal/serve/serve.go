@@ -309,20 +309,26 @@ func (p program) validate(maxNodes int) (int, error) {
 }
 
 // job is an admitted program ready to run: its source, the session
-// options it names, the tenant's allowance intersected with the
-// request's cap, and the fidelity admission granted.
+// options it names, the request's allowance (the tenant's remaining
+// quota intersected with the request's cap), the fidelity admission
+// granted, and the request's one meter — the virtual time and
+// allocation bytes every session built so far consumed. Each session
+// runs under the allowance less the meter, and the tenant ledger
+// settles from the meter.
 type job struct {
 	source string
 	opts   []nvmap.Option
 	budget nvmap.Budget
 	level  int
+	spent  vtime.Duration
+	alloc  int64
 }
 
 // newJob resolves a program into session options. Scenario runs share
 // a source name per (scenario, seed) so the process-wide compile memo
 // hits across tenants replaying the same workload.
-func newJob(p program, allowance nvmap.Budget, level int) job {
-	j := job{source: p.source, budget: allowance, level: level}
+func newJob(p program, allowance nvmap.Budget, level int) *job {
+	j := &job{source: p.source, budget: allowance, level: level}
 	name := "tenant.fcm"
 	if p.source == "" {
 		j.source = ScenarioProgram(p.scenario, p.seed)
@@ -349,21 +355,24 @@ func newJob(p program, allowance nvmap.Budget, level int) job {
 	return j
 }
 
-// session builds one run of the job under the allowance left after
-// spent virtual time. Every run executes under a budget: even a fully
-// unlimited one still meters ops and alloc bytes, which is what the
-// charge reads, and zero ceilings never shed and never cut, so an
-// unloaded serve run is byte-identical to a direct Session.Run. An
-// allowance already used up cuts the run at its first operation (a
-// 1 ns ceiling) instead of lifting the cap. Fidelity is priced at
+// session builds the job's next run under the allowance its meter
+// leaves. Every run executes under a budget: even a fully unlimited one
+// still meters ops and alloc bytes, which is what the charge reads, and
+// zero ceilings never shed and never cut, so an unloaded serve run is
+// byte-identical to a direct Session.Run. An allowance already used up
+// cuts the run at once (a ceiling of 1 ns or 1 byte) instead of lifting
+// the cap. Fidelity is priced at
 // admission: the run is pre-shed to the granted level, and the budget
 // governor can only raise it further. The budget goes in the options'
 // spare slot, which is safe because a job builds its sessions one at a
 // time and NewSession reads its options before it returns.
-func (j job) session(spent vtime.Duration) (*nvmap.Session, error) {
+func (j *job) session() (*nvmap.Session, error) {
 	b := j.budget
 	if b.MaxVirtualTime > 0 {
-		b.MaxVirtualTime = max(b.MaxVirtualTime-spent, 1)
+		b.MaxVirtualTime = max(b.MaxVirtualTime-j.spent, 1)
+	}
+	if b.MaxAllocBytes > 0 {
+		b.MaxAllocBytes = max(b.MaxAllocBytes-j.alloc, 1)
 	}
 	sess, err := nvmap.NewSession(j.source, append(j.opts, nvmap.WithBudget(b))...)
 	if err != nil {
@@ -375,6 +384,17 @@ func (j job) session(spent vtime.Duration) (*nvmap.Session, error) {
 	return sess, nil
 }
 
+// run runs one of the job's sessions and adds what it consumed — a cut
+// run up to its cut — to the job's meter.
+func (j *job) run(ctx context.Context, sess *nvmap.Session) (*nvmap.DegradationReport, error) {
+	rep, err := sess.RunContext(ctx)
+	j.spent += sess.Elapsed()
+	if rep != nil {
+		j.alloc += rep.Budget.AllocBytes
+	}
+	return rep, err
+}
+
 // request is one POST route's body. Both kinds name a program; start
 // is the route's own middle of the pipeline. It readies the route on
 // the job's first session — an error is the client's, answered with a
@@ -382,14 +402,13 @@ func (j job) session(spent vtime.Duration) (*nvmap.Session, error) {
 type request interface {
 	validate(maxNodes int) error
 	program() program
-	start(j job, first *nvmap.Session) (run func(ctx context.Context, w http.ResponseWriter) outcome, err error)
+	start(j *job, first *nvmap.Session) (run func(ctx context.Context, w http.ResponseWriter) outcome, err error)
 }
 
-// outcome is what a route's run hands back to the pipeline.
+// outcome is what a route's run hands back to the pipeline; what the
+// run consumed is on the job's meter.
 type outcome struct {
-	charge vtime.Duration // virtual time the request consumed
-	alloc  int64          // allocation bytes the request consumed
-	err    error
+	err error
 	// after, when set, streams the route's events that follow the
 	// ledger's settle and precede the final event.
 	after func(w http.ResponseWriter)
@@ -479,7 +498,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req request) {
 	s.mu.Unlock()
 
 	j := newJob(p, allowance, level)
-	sess, err := j.session(0)
+	sess, err := j.session()
 	if err != nil {
 		s.badReq.Add(1)
 		s.reject(w, http.StatusBadRequest, "bad_request", "compile: "+err.Error(), 0)
@@ -517,7 +536,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req request) {
 	started := time.Now()
 	out := run(ctx, w)
 	wall := time.Since(started)
-	settle(out.charge, out.alloc)
+	settle(j.spent, j.alloc)
 	if out.after != nil {
 		out.after(w)
 	}
@@ -537,7 +556,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req request) {
 	}
 	s.completed.Add(1)
 	writeNDJSON(w, Event{Event: "done", Done: &DoneInfo{
-		ElapsedVirtualNS: nsOf(out.charge),
+		ElapsedVirtualNS: nsOf(j.spent),
 		WallNS:           wall.Nanoseconds(),
 	}})
 }
@@ -564,7 +583,7 @@ func (req *SessionRequest) validate(maxNodes int) error {
 
 // start is the session route's middle: register the SAS questions and
 // enable the metrics, then run once and answer them.
-func (req *SessionRequest) start(_ job, sess *nvmap.Session) (func(context.Context, http.ResponseWriter) outcome, error) {
+func (req *SessionRequest) start(j *job, sess *nvmap.Session) (func(context.Context, http.ResponseWriter) outcome, error) {
 	type askedQ struct {
 		label string
 		asked *nvmap.AskedQuestion
@@ -590,11 +609,8 @@ func (req *SessionRequest) start(_ job, sess *nvmap.Session) (func(context.Conte
 		metrics = append(metrics, em)
 	}
 	return func(ctx context.Context, _ http.ResponseWriter) outcome {
-		rep, err := sess.RunContext(ctx)
-		out := outcome{charge: sess.Elapsed(), err: err}
-		if rep != nil {
-			out.alloc = rep.Budget.AllocBytes
-		}
+		rep, err := j.run(ctx, sess)
+		out := outcome{err: err}
 		// Answers flow even for cut runs: metric values and SAS results
 		// are exact up to the cut instant — that is the whole point of
 		// cutting at an operation boundary instead of killing the

@@ -23,8 +23,8 @@ package serve
 // a bad request, a contained panic). A session request runs once; a
 // diagnosis runs a search of sessions (the base run, then replays),
 // each under the allowance left after the ones before it, and is
-// charged the virtual time of every session the search ran, a cut one
-// included.
+// charged the virtual time and allocation bytes of every session the
+// search ran, a cut one included.
 
 import (
 	"fmt"

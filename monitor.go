@@ -1,7 +1,6 @@
 package nvmap
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -196,11 +195,6 @@ func (s *Session) EnableSASMonitor(filter bool) *Monitor {
 		})
 	}
 
-	// Materialise a SAS per node up front so questions asked before the
-	// run cover the whole partition.
-	for n := 0; n < s.Machine.Nodes(); n++ {
-		reg.Node(n)
-	}
 	return m
 }
 
@@ -300,7 +294,7 @@ func sendSentence(node int) nv.Sentence {
 type AskedQuestion struct {
 	Question sas.Question
 	reg      *sas.Registry
-	ids      map[int]sas.QuestionID
+	id       sas.QuestionID
 }
 
 // Ask registers a performance question written in the paper's notation —
@@ -317,19 +311,16 @@ func (m *Monitor) Ask(label, text string) (*AskedQuestion, error) {
 // AskQuestion registers an already-built question on every node's SAS.
 func (m *Monitor) AskQuestion(q sas.Question) (*AskedQuestion, error) {
 	reg := m.session.Tool.SASes
-	ids, err := reg.AddQuestionAll(q)
+	id, err := reg.AddQuestionAll(q)
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("nvmap: no SASes materialised; use Session.EnableSASMonitor")
-	}
-	return &AskedQuestion{Question: q, reg: reg, ids: ids}, nil
+	return &AskedQuestion{Question: q, reg: reg, id: id}, nil
 }
 
 // Answer aggregates the question's result over every node as of now.
 func (a *AskedQuestion) Answer(now vtime.Time) (sas.Result, error) {
-	return a.reg.AggregateResult(a.ids, now)
+	return a.reg.AggregateResult(a.id, now)
 }
 
 // SnapshotWhen arms the Figure 5 snapshot trigger: the first time a send

@@ -257,3 +257,25 @@ func TestFilteredMonitorKeepsGatingSentences(t *testing.T) {
 		t.Errorf("the filter ignored nothing: %+v", filtered.stats)
 	}
 }
+
+// TestExportReliableRejectsUnknownNodes: a reliable export names two
+// nodes of the session's machine. An id outside [0, Nodes) is an error,
+// not a SAS conjured for a node the machine does not have.
+func TestExportReliableRejectsUnknownNodes(t *testing.T) {
+	s, err := NewSession(hpfProgram, WithNodes(8), WithSourceFile("hpf.fcm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.EnableSASMonitor(false)
+	for _, c := range [][2]int{{99, 0}, {1, 99}, {-1, 0}, {0, -1}, {8, 0}} {
+		if _, err := m.ExportReliable(c[0], c[1], sas.T(verbSends, sas.Any)); err == nil {
+			t.Errorf("ExportReliable(%d, %d) accepted a node outside the 8-node machine", c[0], c[1])
+		}
+	}
+	if n := len(s.Tool.SASes.Nodes()); n != 0 && n != 8 {
+		t.Fatalf("%d SASes, want the machine's 8 (or none yet)", n)
+	}
+	if _, err := m.ExportReliable(7, 0, sas.T(verbSends, sas.Any)); err != nil {
+		t.Fatalf("ExportReliable(7, 0): %v", err)
+	}
+}

@@ -182,8 +182,8 @@ func registerSessionCollectors(s *Session, r *obs.Registry) {
 // registerSASCollectors publishes the session's SAS registry — one SAS
 // per node, holding the tool's gating sentences and the monitor's — as
 // aggregate notification statistics, question-index posting sizes and
-// column occupancy. Every collector sums over the SASes that exist, so a
-// scrape never materialises one.
+// column occupancy. Every collector sums over Nodes(), which is empty
+// until something needs a SAS, so a scrape never creates one.
 func registerSASCollectors(r *obs.Registry, reg *sas.Registry) {
 	stat := func(read func(sas.Stats) float64) func() float64 {
 		return func() float64 { return read(reg.TotalStats()) }
